@@ -1,26 +1,29 @@
 // engine.hpp — the parallel evaluation engine.
 //
 // One EvalEngine per process (the web app owns one): a thread-pool
-// executor for Playing independent sweep points concurrently, a
-// memoized Play cache so an unchanged design — a reloaded page, a
-// revisited sweep point, a second user opening a shared design — costs
-// a hash instead of a fixed-point evaluation, and a plan cache of
-// compiled EvalPlans (sheet/plan.hpp) keyed by structural fingerprint
-// so the compile cost is paid once per design *shape*, not per edit.
+// executor that spreads lane blocks of sweep points over its workers,
+// a memoized Play cache so an unchanged design — a reloaded page, a
+// second user opening a shared design — costs a hash instead of a
+// fixed-point evaluation, and a plan cache of compiled EvalPlans
+// (sheet/plan.hpp) keyed by structural fingerprint so the compile cost
+// is paid once per design *shape*, not per edit.
 //
-// Sweeps are clone-free: instead of copying the whole design per point
-// (the serial paths in sheet/sweep.hpp), each worker holds one
-// PlanInstance over the shared plan and re-binds the swept parameter's
-// slot per point.  Results are bit-identical to the serial loops.
-// Per-point Play-cache keys are derived — the design fingerprint
-// computed once per sweep, folded with the swept parameter's identity
-// and value — so keying costs nanoseconds per point and repeated
-// sweeps (re-submitted jobs, multiple users) hit the cache.
+// Every sweep — 1-D global, row parameter, grid, and the arbitrary
+// point sets behind the explore workloads — runs on one driver: the
+// points partition into lane blocks of BatchPlanInstance::kLaneWidth
+// by point index, each worker binds the swept slots of its blocks in a
+// BatchPlanInstance over the shared plan, and the metrics land in
+// PointColumns.  No design clone per point, no per-point PlayResult,
+// no per-point memo.  Results are bit-identical to the serial loops in
+// sheet/sweep.hpp at any thread count.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "engine/cache.hpp"
 #include "engine/executor.hpp"
@@ -42,13 +45,12 @@ struct EngineOptions {
 /// Compiled evaluation plans, keyed by structure_fingerprint().
 using PlanCache = LruCache<sheet::EvalPlan>;
 
-/// Process-lifetime counters for the lane-batched columnar paths
-/// (served on /healthz).  `scalar_fallback_points` counts points a
-/// columnar call evaluated through the whole-point scalar path
-/// (intermodel plans, non-slot-addressable bindings, degenerate
-/// batches); `lane_replays` counts programs the batch interpreter had
-/// to replay lane-by-lane (divergent conditionals, would-throw
-/// conditions).
+/// Process-lifetime counters for the lane-batched sweep driver (served
+/// on /healthz).  `scalar_fallback_points` counts points a lane block
+/// evaluated through the whole-point scalar path (intermodel plans,
+/// blocks of width 1, blocks degraded by an error); `lane_replays`
+/// counts programs the batch interpreter had to replay lane-by-lane
+/// (divergent conditionals, would-throw conditions).
 struct BatchCounters {
   std::uint64_t points = 0;
   std::uint64_t blocks = 0;
@@ -58,6 +60,14 @@ struct BatchCounters {
   /// evaluate per block, per-lane operating-point arithmetic only).
   std::uint64_t term_capture_rows = 0;
 };
+
+/// The slot of a name the caller already validated
+/// (sheet::require_global(s) / require_row_param).  Only Design::play's
+/// working copies ever get a parent scope, so every validated name is
+/// slot-addressable; a miss is an internal error (std::logic_error),
+/// never a second evaluation path.
+[[nodiscard]] expr::SlotId validated_slot(std::optional<expr::SlotId> slot,
+                                          const std::string& name);
 
 class EvalEngine {
  public:
@@ -73,25 +83,30 @@ class EvalEngine {
       const sheet::Design& design);
 
   /// Memoized Play: fingerprint, probe the cache, run the compiled
-  /// plan on miss.  The returned result is shared and immutable.
+  /// plan on miss.  The returned result is shared and immutable.  The
+  /// sweeps below never touch this cache.
   [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play(
       const sheet::Design& design);
 
-  /// Engine-backed sweeps: parallel over the executor, memoized per
-  /// point, one PlanInstance per worker chunk (no design clones).
-  /// Same signatures, validation, errors and results as the serial
-  /// entry points in sheet/sweep.hpp.
-  [[nodiscard]] std::vector<sheet::SweepPoint> sweep_global(
+  /// 1-D sweep of global `param`: column i is the Play at values[i].
+  /// Same validation, errors and values as sheet::sweep_global.
+  [[nodiscard]] sheet::PointColumns sweep_global(
       const sheet::Design& design, const std::string& param,
       const std::vector<double>& values,
       const sheet::SweepProgress& progress = {});
 
-  [[nodiscard]] std::vector<sheet::SweepPoint> sweep_row_param(
+  /// 1-D sweep of a row-local parameter.  When the row does not bind
+  /// `param` itself, one clone per sweep materializes the binding so
+  /// the plan has a slot for it.  Same validation, errors and values as
+  /// sheet::sweep_row_param.
+  [[nodiscard]] sheet::PointColumns sweep_row_param(
       const sheet::Design& design, const std::string& row,
       const std::string& param, const std::vector<double>& values,
       const sheet::SweepProgress& progress = {});
 
-  [[nodiscard]] sheet::GridSweep sweep_grid(
+  /// Grid sweep: point (i, j) is column i * ys.size() + j.  Same
+  /// validation, errors and values as sheet::sweep_grid.
+  [[nodiscard]] sheet::ColumnarGrid sweep_grid_columnar(
       const sheet::Design& design, const std::string& x_param,
       const std::vector<double>& xs, const std::string& y_param,
       const std::vector<double>& ys,
@@ -99,34 +114,9 @@ class EvalEngine {
 
   /// Arbitrary-dimension point evaluation — the substrate of the
   /// exploration workloads (Monte Carlo, Pareto search, surrogate
-  /// training): Play the design once per row of `points`, where row i
-  /// binds params[j] = points[i][j] for every j.  Unknown parameters are
-  /// all reported in one ExprError (sheet::require_globals).  Results
-  /// come back in point order, each computed independently of worker
-  /// count, so output bytes are identical at 1 and N threads.
-  [[nodiscard]] std::vector<sheet::PlayResult> play_points(
-      const sheet::Design& design, const std::vector<std::string>& params,
-      const std::vector<std::vector<double>>& points,
-      const sheet::SweepProgress& progress = {});
-
-  /// Columnar grid sweep on the lane-batched substrate
-  /// (sheet/batch.hpp): points partition into kLaneWidth lane blocks
-  /// by point index — a thread-count-independent split — and each
-  /// worker streams its blocks' metrics straight into the shared
-  /// column arrays.  No per-point PlayResult is materialized and the
-  /// Play cache is bypassed entirely; values are bit-identical to
-  /// sweep_grid (tests/batch_test.cpp asserts this differentially).
-  /// Same validation and errors as sweep_grid.
-  [[nodiscard]] sheet::ColumnarGrid sweep_grid_columnar(
-      const sheet::Design& design, const std::string& x_param,
-      const std::vector<double>& xs, const std::string& y_param,
-      const std::vector<double>& ys,
-      const sheet::SweepProgress& progress = {});
-
-  /// Columnar counterpart of play_points: same validation, errors and
-  /// point order, four metric columns instead of PlayResults.  The
-  /// batched explore workloads (Monte Carlo, Pareto, surrogate
-  /// training) run on this.  Deterministic at any thread count.
+  /// training, inverse probes): column i is the Play with params[j] =
+  /// points[i][j] for every j.  Unknown parameters are all reported in
+  /// one ExprError (sheet::require_globals).
   [[nodiscard]] sheet::PointColumns play_points_columnar(
       const sheet::Design& design, const std::vector<std::string>& params,
       const std::vector<std::vector<double>>& points,
@@ -136,25 +126,22 @@ class EvalEngine {
   [[nodiscard]] BatchCounters batch_counters() const;
 
  private:
-  /// Play `inst` (slots already bound for the point) under Play-cache
-  /// key `key`: probe first, insert on miss.
-  [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play_bound(
-      sheet::PlanInstance& inst, std::uint64_t key);
+  /// Lane blocks per worker task: enough to keep every worker busy,
+  /// few enough that one BatchPlanInstance amortizes over many blocks.
+  [[nodiscard]] std::size_t chunk_count(std::size_t blocks) const;
 
-  /// Point-index ranges sized so each worker chunk amortizes one
-  /// PlanInstance over many points.
-  [[nodiscard]] std::size_t chunk_count(std::size_t points) const;
-
-  /// Shared columnar-path driver: partition `total` points into lane
-  /// blocks, run them over the executor, accumulate batch counters.
-  /// `fill_lanes(block, base, width, lanes)` loads the slot lane
-  /// values for one block.
+  /// The sweep driver: partition `total` points into lane blocks by
+  /// point index, run them over the executor on `plan`, accumulate the
+  /// batch counters.  `fill_lanes(base, width, lanes)` loads the slot
+  /// lane values of the block starting at point `base`.  `progress`
+  /// fires once per block, which is also where a job's cancellation and
+  /// deadline take effect.
   template <typename FillLanes>
-  void run_columnar(const sheet::Design& design,
-                    const std::vector<expr::SlotId>& slots,
-                    std::size_t total, sheet::PointColumns& out,
-                    const sheet::SweepProgress& progress,
-                    FillLanes&& fill_lanes);
+  [[nodiscard]] sheet::PointColumns run_columnar(
+      const std::shared_ptr<const sheet::EvalPlan>& plan,
+      const sheet::Design& design, const std::vector<expr::SlotId>& slots,
+      std::size_t total, const sheet::SweepProgress& progress,
+      FillLanes&& fill_lanes);
 
   Executor executor_;
   PlayCache cache_;

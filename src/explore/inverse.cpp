@@ -12,32 +12,6 @@ namespace powerplay::explore {
 
 namespace {
 
-/// Sequential metric evaluations during bisection reuse one bound
-/// PlanInstance when the parameter is slot-addressable; otherwise each
-/// evaluation goes through the engine's clone fallback.
-class MetricEval {
- public:
-  MetricEval(engine::EvalEngine& engine, const sheet::Design& design,
-             const InverseSpec& spec)
-      : engine_(&engine), design_(&design), spec_(&spec) {}
-
-  double operator()(double x) {
-    const std::vector<sheet::PlayResult> plays = engine_->play_points(
-        *design_, {spec_->param}, {{x}});
-    ++evaluations_;
-    return metric_value(plays.front(), spec_->metric);
-  }
-
-  [[nodiscard]] std::size_t evaluations() const { return evaluations_; }
-  void count(std::size_t n) { evaluations_ += n; }
-
- private:
-  engine::EvalEngine* engine_;
-  const sheet::Design* design_;
-  const InverseSpec* spec_;
-  std::size_t evaluations_ = 0;
-};
-
 std::string num(double v) {
   std::ostringstream os;
   os << std::setprecision(9) << v;
@@ -69,18 +43,18 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   };
 
   // Monotonicity probe: equally spaced, endpoints included, evaluated
-  // in parallel through the engine.
+  // as one lane batch through the engine.
   std::vector<std::vector<double>> grid(probes);
   for (std::size_t i = 0; i < probes; ++i) {
     grid[i] = {spec.lo + (spec.hi - spec.lo) * static_cast<double>(i) /
                              static_cast<double>(probes - 1)};
   }
-  const std::vector<sheet::PlayResult> plays =
-      engine.play_points(design, {spec.param}, grid);
+  const sheet::PointColumns plays =
+      engine.play_points_columnar(design, {spec.param}, grid);
   tick(probes);
   std::vector<double> f(probes);
   for (std::size_t i = 0; i < probes; ++i) {
-    f[i] = metric_value(plays[i], spec.metric);
+    f[i] = metric_column(plays, i, spec.metric);
   }
 
   bool non_decreasing = true;
@@ -113,8 +87,6 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   InverseResult out;
   out.increasing = non_decreasing;
 
-  MetricEval eval(engine, design, spec);
-  eval.count(probes);
   const auto ok = [&](double fx) {
     return spec.upper_bound ? fx <= spec.limit : fx >= spec.limit;
   };
@@ -128,6 +100,7 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
     return out;
   }
   out.feasible = true;
+  out.evaluations = probes;
 
   // The feasible set of a monotone metric under a one-sided constraint
   // is a sub-interval anchored at a feasible endpoint.  If the endpoint
@@ -136,17 +109,27 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   if (spec.maximize && ok_hi) {
     out.param_value = spec.hi;
     out.metric_value = f.back();
-    out.evaluations = eval.evaluations();
     if (progress) progress(budget, budget);
     return out;
   }
   if (!spec.maximize && ok_lo) {
     out.param_value = spec.lo;
     out.metric_value = f.front();
-    out.evaluations = eval.evaluations();
     if (progress) progress(budget, budget);
     return out;
   }
+
+  // Bisection steps are sequential: one PlanInstance over the engine's
+  // cached plan, re-binding the queried parameter's slot per step.
+  const auto plan = engine.plan_for(design);
+  sheet::PlanInstance inst(plan);
+  inst.bind_from(design);
+  const expr::SlotId slot =
+      engine::validated_slot(plan->global_slot(spec.param), spec.param);
+  const auto eval = [&](double x) {
+    inst.bind(slot, x);
+    return metric_value(inst.play(), spec.metric);
+  };
 
   double a = spec.maximize ? spec.lo : spec.hi;      // feasible end
   double b = spec.maximize ? spec.hi : spec.lo;      // infeasible end
@@ -171,7 +154,7 @@ InverseResult solve_inverse(engine::EvalEngine& engine,
   out.param_value = a;
   out.metric_value = fa;
   out.iterations = iters;
-  out.evaluations = eval.evaluations();
+  out.evaluations = probes + iters;
   if (progress) progress(budget, budget);
   return out;
 }

@@ -7,7 +7,7 @@
 // ~50 Plays instead of a dense sweep.
 //
 // Monotonicity is not assumed: the solver first probes the bracket at
-// `probe_points` equally spaced values (in parallel through the
+// `probe_points` equally spaced values (one lane batch through the
 // engine) and rejects the query with an explicit error — naming the
 // violating probe pair — when the metric is neither non-decreasing nor
 // non-increasing.  A non-monotone metric has no single answer a

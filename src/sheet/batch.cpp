@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
 #include "model/param.hpp"
 #include "units/units.hpp"
@@ -151,11 +149,7 @@ void BatchPlanInstance::play_block_scalar(
     for (std::size_t s = 0; s < slots.size(); ++s) {
       scalar_.bind(slots[s], lane_values[s][l]);
     }
-    const PlayResult r = scalar_.play();
-    out.power_w[base + l] = r.total.total_power().si();
-    out.energy_j[base + l] = r.total.energy_per_op.si();
-    out.area_m2[base + l] = r.total.area.si();
-    out.delay_s[base + l] = r.total.delay.si();
+    out.set(base + l, scalar_.play());
     ++stats_.scalar_fallback_points;
   }
 }
@@ -352,65 +346,6 @@ void BatchPlanInstance::play_block(
     out.area_m2[base + l] = acc.area_m2[l];
     out.delay_s[base + l] = acc.delay_s[l];
   }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar rendering
-// ---------------------------------------------------------------------------
-
-std::string grid_table(const ColumnarGrid& grid) {
-  std::ostringstream os;
-  os << grid.x_param << " \\ " << grid.y_param;
-  for (double y : grid.ys) os << '\t' << y;
-  os << '\n';
-  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
-    os << grid.xs[i];
-    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
-      os << '\t'
-         << units::format_si(grid.cols.power_w[i * grid.ys.size() + j], "W");
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-std::string grid_csv(const ColumnarGrid& grid) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  os << grid.x_param << ',' << grid.y_param
-     << ",total_power_w,energy_per_op_j\n";
-  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
-    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
-      const std::size_t k = i * grid.ys.size() + j;
-      os << grid.xs[i] << ',' << grid.ys[j] << ',' << grid.cols.power_w[k]
-         << ',' << grid.cols.energy_j[k] << '\n';
-    }
-  }
-  return os.str();
-}
-
-std::string grid_json(const ColumnarGrid& grid) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  const auto array = [&os](const std::vector<double>& v) {
-    os << '[';
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i != 0) os << ',';
-      os << v[i];
-    }
-    os << ']';
-  };
-  os << "{\"x_param\":\"" << grid.x_param << "\",\"y_param\":\""
-     << grid.y_param << "\",\"xs\":";
-  array(grid.xs);
-  os << ",\"ys\":";
-  array(grid.ys);
-  os << ",\"power_w\":";
-  array(grid.cols.power_w);
-  os << ",\"energy_j\":";
-  array(grid.cols.energy_j);
-  os << "}";
-  return os.str();
 }
 
 }  // namespace powerplay::sheet

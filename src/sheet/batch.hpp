@@ -58,6 +58,13 @@ struct PointColumns {
     delay_s.assign(n, 0.0);
   }
   [[nodiscard]] std::size_t size() const { return power_w.size(); }
+  /// Column i := the four metrics of a whole-point Play.
+  void set(std::size_t i, const PlayResult& r) {
+    power_w[i] = r.total.total_power().si();
+    energy_j[i] = r.total.energy_per_op.si();
+    area_m2[i] = r.total.area.si();
+    delay_s[i] = r.total.delay.si();
+  }
 };
 
 /// A grid sweep in columnar form: point (i, j) of the xs x ys grid is
@@ -159,16 +166,5 @@ class BatchPlanInstance {
   PlanInstance scalar_;        ///< whole-point fallback path
   BatchStats stats_;
 };
-
-/// Render a columnar grid exactly like the PlayResult-based
-/// grid_table/grid_csv in sweep.hpp: given bit-identical point values
-/// the emitted bytes are identical.
-std::string grid_table(const ColumnarGrid& grid);
-std::string grid_csv(const ColumnarGrid& grid);
-
-/// Machine-readable columnar payload for the job API: axes plus the
-/// power/energy columns as JSON arrays, streamed straight from the
-/// column storage.
-std::string grid_json(const ColumnarGrid& grid);
 
 }  // namespace powerplay::sheet

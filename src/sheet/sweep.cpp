@@ -1,6 +1,5 @@
 #include "sheet/sweep.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
@@ -50,14 +49,6 @@ void require_row_param(const Design& design, const Row& row,
                         "' has no parameter named '" + param + "'");
 }
 
-namespace {
-
-PlayResult play_point(const Design& work, const PlayFn& play) {
-  return play ? play(work) : work.play();
-}
-
-}  // namespace
-
 std::vector<SweepPoint> sweep_global(const Design& design,
                                      const std::string& param,
                                      const std::vector<double>& values) {
@@ -69,25 +60,6 @@ std::vector<SweepPoint> sweep_global(const Design& design,
     work.globals().set(param, v);
     out.push_back(SweepPoint{v, work.play()});
   }
-  return out;
-}
-
-std::vector<SweepPoint> sweep_global(engine::Executor& executor,
-                                     const Design& design,
-                                     const std::string& param,
-                                     const std::vector<double>& values,
-                                     const PlayFn& play,
-                                     const SweepProgress& progress) {
-  require_global(design, param, "sweep_global");
-  std::vector<SweepPoint> out(values.size());
-  std::atomic<std::size_t> done{0};
-  engine::parallel_for(executor, values.size(), [&](std::size_t i) {
-    Design work = design;
-    work.globals().set(param, values[i]);
-    out[i] = SweepPoint{values[i], play_point(work, play)};
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (progress) progress(finished, values.size());
-  });
   return out;
 }
 
@@ -108,31 +80,6 @@ std::vector<SweepPoint> sweep_row_param(const Design& design,
     r->params.set(param, v);
     out.push_back(SweepPoint{v, work.play()});
   }
-  return out;
-}
-
-std::vector<SweepPoint> sweep_row_param(engine::Executor& executor,
-                                        const Design& design,
-                                        const std::string& row,
-                                        const std::string& param,
-                                        const std::vector<double>& values,
-                                        const PlayFn& play,
-                                        const SweepProgress& progress) {
-  const Row* r = design.find_row(row);
-  if (r == nullptr) {
-    throw expr::ExprError("sweep_row_param: no row named '" + row +
-                          "' in design '" + design.name() + "'");
-  }
-  require_row_param(design, *r, param);
-  std::vector<SweepPoint> out(values.size());
-  std::atomic<std::size_t> done{0};
-  engine::parallel_for(executor, values.size(), [&](std::size_t i) {
-    Design work = design;
-    work.find_row(row)->params.set(param, values[i]);
-    out[i] = SweepPoint{values[i], play_point(work, play)};
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (progress) progress(finished, values.size());
-  });
   return out;
 }
 
@@ -164,39 +111,38 @@ GridSweep sweep_grid(const Design& design, const std::string& x_param,
   return out;
 }
 
-GridSweep sweep_grid(engine::Executor& executor, const Design& design,
-                     const std::string& x_param,
-                     const std::vector<double>& xs,
-                     const std::string& y_param,
-                     const std::vector<double>& ys,
-                     const PlayFn& play,
-                     const SweepProgress& progress) {
-  if (x_param == y_param) {
-    throw expr::ExprError("sweep_grid: the two parameters must differ");
+namespace {
+
+std::vector<double> values_of(const std::vector<SweepPoint>& points) {
+  std::vector<double> values;
+  values.reserve(points.size());
+  for (const SweepPoint& p : points) values.push_back(p.value);
+  return values;
+}
+
+}  // namespace
+
+PointColumns to_columns(const std::vector<SweepPoint>& points) {
+  PointColumns cols;
+  cols.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    cols.set(i, points[i].result);
   }
-  require_globals(design, {x_param, y_param}, "sweep_grid");
-  GridSweep out;
-  out.x_param = x_param;
-  out.y_param = y_param;
-  out.xs = xs;
-  out.ys = ys;
-  out.results.assign(xs.size(), std::vector<PlayResult>(ys.size()));
-  const std::size_t total = xs.size() * ys.size();
-  std::atomic<std::size_t> done{0};
-  engine::parallel_for(executor, total, [&](std::size_t k) {
-    const std::size_t i = k / ys.size();
-    const std::size_t j = k % ys.size();
-    Design work = design;
-    work.globals().set(x_param, xs[i]);
-    work.globals().set(y_param, ys[j]);
-    out.results[i][j] = play_point(work, play);
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (progress) progress(finished, total);
-  });
+  return cols;
+}
+
+ColumnarGrid to_columnar(const GridSweep& grid) {
+  ColumnarGrid out{grid.x_param, grid.y_param, grid.xs, grid.ys, {}};
+  out.cols.resize(grid.xs.size() * grid.ys.size());
+  for (std::size_t i = 0; i < grid.xs.size(); ++i) {
+    for (std::size_t j = 0; j < grid.ys.size(); ++j) {
+      out.cols.set(i * grid.ys.size() + j, grid.results[i][j]);
+    }
+  }
   return out;
 }
 
-std::string grid_table(const GridSweep& grid) {
+std::string grid_table(const ColumnarGrid& grid) {
   std::ostringstream os;
   os << grid.x_param << " \\ " << grid.y_param;
   for (double y : grid.ys) os << '\t' << y;
@@ -205,40 +151,93 @@ std::string grid_table(const GridSweep& grid) {
     os << grid.xs[i];
     for (std::size_t j = 0; j < grid.ys.size(); ++j) {
       os << '\t'
-         << units::format_si(
-                grid.results[i][j].total.total_power().si(), "W");
+         << units::format_si(grid.cols.power_w[i * grid.ys.size() + j], "W");
     }
     os << '\n';
   }
   return os.str();
 }
 
-std::string grid_csv(const GridSweep& grid) {
+std::string grid_table(const GridSweep& grid) {
+  return grid_table(to_columnar(grid));
+}
+
+std::string grid_csv(const ColumnarGrid& grid) {
   std::ostringstream os;
   os << std::setprecision(9);
   os << grid.x_param << ',' << grid.y_param
      << ",total_power_w,energy_per_op_j\n";
   for (std::size_t i = 0; i < grid.xs.size(); ++i) {
     for (std::size_t j = 0; j < grid.ys.size(); ++j) {
-      const PlayResult& r = grid.results[i][j];
-      os << grid.xs[i] << ',' << grid.ys[j] << ','
-         << r.total.total_power().si() << ','
-         << r.total.energy_per_op.si() << '\n';
+      const std::size_t k = i * grid.ys.size() + j;
+      os << grid.xs[i] << ',' << grid.ys[j] << ',' << grid.cols.power_w[k]
+         << ',' << grid.cols.energy_j[k] << '\n';
     }
+  }
+  return os.str();
+}
+
+std::string grid_csv(const GridSweep& grid) {
+  return grid_csv(to_columnar(grid));
+}
+
+std::string grid_json(const ColumnarGrid& grid) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  const auto array = [&os](const std::vector<double>& v) {
+    os << '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i != 0) os << ',';
+      os << v[i];
+    }
+    os << ']';
+  };
+  os << "{\"x_param\":\"" << grid.x_param << "\",\"y_param\":\""
+     << grid.y_param << "\",\"xs\":";
+  array(grid.xs);
+  os << ",\"ys\":";
+  array(grid.ys);
+  os << ",\"power_w\":";
+  array(grid.cols.power_w);
+  os << ",\"energy_j\":";
+  array(grid.cols.energy_j);
+  os << "}";
+  return os.str();
+}
+
+std::string sweep_table(const std::string& param,
+                        const std::vector<double>& values,
+                        const PointColumns& cols) {
+  std::ostringstream os;
+  os << param << "\ttotal power\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    os << values[i] << '\t' << units::format_si(cols.power_w[i], "W")
+       << '\n';
+  }
+  return os.str();
+}
+
+std::string sweep_table(const std::string& param,
+                        const std::vector<SweepPoint>& points) {
+  return sweep_table(param, values_of(points), to_columns(points));
+}
+
+std::string sweep_csv(const std::string& param,
+                      const std::vector<double>& values,
+                      const PointColumns& cols) {
+  std::ostringstream os;
+  os << std::setprecision(9);
+  os << param << ",total_power_w,energy_per_op_j\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    os << values[i] << ',' << cols.power_w[i] << ',' << cols.energy_j[i]
+       << '\n';
   }
   return os.str();
 }
 
 std::string sweep_csv(const std::string& param,
                       const std::vector<SweepPoint>& points) {
-  std::ostringstream os;
-  os << std::setprecision(9);
-  os << param << ",total_power_w,energy_per_op_j\n";
-  for (const SweepPoint& p : points) {
-    os << p.value << ',' << p.result.total.total_power().si() << ','
-       << p.result.total.energy_per_op.si() << '\n';
-  }
-  return os.str();
+  return sweep_csv(param, values_of(points), to_columns(points));
 }
 
 std::vector<double> linspace(double from, double to, int points) {
@@ -264,17 +263,6 @@ std::vector<double> geomspace(double from, double to, int points) {
     v *= ratio;
   }
   return out;
-}
-
-std::string sweep_table(const std::string& param,
-                        const std::vector<SweepPoint>& points) {
-  std::ostringstream os;
-  os << param << "\ttotal power\n";
-  for (const SweepPoint& p : points) {
-    os << p.value << '\t'
-       << units::format_si(p.result.total.total_power().si(), "W") << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace powerplay::sheet

@@ -6,17 +6,19 @@
 // results — the engine behind voltage/frequency trade-off curves and the
 // instant what-if loop of the Figure 4 form.
 //
-// Every entry point has two forms: the original serial loop, and an
-// engine-backed overload taking an engine::Executor that Plays the
-// points concurrently.  Each point clones the design, so points are
-// embarrassingly parallel and the two forms are bit-identical.
+// These loops are the serial reference: each point re-Plays a clone of
+// the design through the tree-walk interpreter.  The engine's sweeps
+// (engine/engine.hpp) run the same points lane-batched over a compiled
+// plan and must match them bit for bit.  The renderers are written
+// once, over result columns (sheet/batch.hpp); the SweepPoint and
+// GridSweep forms convert their results to columns first.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "engine/executor.hpp"
+#include "sheet/batch.hpp"
 #include "sheet/design.hpp"
 
 namespace powerplay::sheet {
@@ -26,20 +28,15 @@ struct SweepPoint {
   PlayResult result;
 };
 
-/// Optional per-point completion callback for the parallel overloads
-/// (drives the async job API's progress counter).  Called as
-/// progress(done_so_far, total); may run on any executor thread.
+/// Optional completion callback for the engine's sweeps (drives the
+/// async job API's progress counter).  Called as progress(done_so_far,
+/// total) once per lane block; may run on any executor thread.
 using SweepProgress = std::function<void(std::size_t, std::size_t)>;
 
-/// Pluggable evaluation hook: maps a configured design clone to its
-/// PlayResult.  Default ({}) plays directly; the evaluation engine
-/// substitutes a memoizing version (engine::EvalEngine).
-using PlayFn = std::function<PlayResult(const Design&)>;
-
-/// Validation shared with the plan-backed engine sweeps: a sweep over a
-/// name Scope::set would silently *create* returns N identical points
-/// (the classic typo trap), so require an existing global binding up
-/// front.  `caller` prefixes the error message ("sweep_global", ...).
+/// Validation shared with the engine sweeps: a sweep over a name
+/// Scope::set would silently *create* returns N identical points (the
+/// classic typo trap), so require an existing global binding up front.
+/// `caller` prefixes the error message ("sweep_global", ...).
 void require_global(const Design& design, const std::string& param,
                     const char* caller);
 
@@ -64,14 +61,6 @@ std::vector<SweepPoint> sweep_global(const Design& design,
                                      const std::string& param,
                                      const std::vector<double>& values);
 
-/// Parallel variant: points Play concurrently on `executor`.
-std::vector<SweepPoint> sweep_global(engine::Executor& executor,
-                                     const Design& design,
-                                     const std::string& param,
-                                     const std::vector<double>& values,
-                                     const PlayFn& play = {},
-                                     const SweepProgress& progress = {});
-
 /// Same, over a row-local parameter (rows addressed by name).  The
 /// parameter must already be bound on the row, be one of the row
 /// model's declared parameters, or (for macro rows) a global of the
@@ -80,14 +69,6 @@ std::vector<SweepPoint> sweep_row_param(const Design& design,
                                         const std::string& row,
                                         const std::string& param,
                                         const std::vector<double>& values);
-
-std::vector<SweepPoint> sweep_row_param(engine::Executor& executor,
-                                        const Design& design,
-                                        const std::string& row,
-                                        const std::string& param,
-                                        const std::vector<double>& values,
-                                        const PlayFn& play = {},
-                                        const SweepProgress& progress = {});
 
 /// Two-parameter grid sweep (e.g. the classic voltage x frequency
 /// exploration plane).  result[i][j] is the Play at xs[i], ys[j].
@@ -103,23 +84,39 @@ GridSweep sweep_grid(const Design& design, const std::string& x_param,
                      const std::string& y_param,
                      const std::vector<double>& ys);
 
-GridSweep sweep_grid(engine::Executor& executor, const Design& design,
-                     const std::string& x_param,
-                     const std::vector<double>& xs,
-                     const std::string& y_param,
-                     const std::vector<double>& ys,
-                     const PlayFn& play = {},
-                     const SweepProgress& progress = {});
+/// The results of a serial sweep as columns, in point order (grid:
+/// row-major, y fastest) — how they meet the columnar renderers and the
+/// engine's output.
+PointColumns to_columns(const std::vector<SweepPoint>& points);
+ColumnarGrid to_columnar(const GridSweep& grid);
 
 /// Render a grid as a total-power matrix table.
+std::string grid_table(const ColumnarGrid& grid);
 std::string grid_table(const GridSweep& grid);
 
 /// Machine-readable long-form CSV: one line per grid point,
 /// `<x_param>,<y_param>,total_power_w,energy_per_op_j` (the /job result
 /// endpoint serves this form).
+std::string grid_csv(const ColumnarGrid& grid);
 std::string grid_csv(const GridSweep& grid);
 
+/// Machine-readable columnar payload for the job API: axes plus the
+/// power/energy columns as JSON arrays, streamed straight from the
+/// column storage.
+std::string grid_json(const ColumnarGrid& grid);
+
+/// Render a 1-D sweep (column i is the point at values[i]) as a
+/// two-column table (value, total power).
+std::string sweep_table(const std::string& param,
+                        const std::vector<double>& values,
+                        const PointColumns& cols);
+std::string sweep_table(const std::string& param,
+                        const std::vector<SweepPoint>& points);
+
 /// CSV for a one-parameter sweep: `<param>,total_power_w,energy_per_op_j`.
+std::string sweep_csv(const std::string& param,
+                      const std::vector<double>& values,
+                      const PointColumns& cols);
 std::string sweep_csv(const std::string& param,
                       const std::vector<SweepPoint>& points);
 
@@ -128,9 +125,5 @@ std::vector<double> linspace(double from, double to, int points);
 
 /// Geometric range helper: {from, from*ratio, ...} up to and incl. `to`.
 std::vector<double> geomspace(double from, double to, int points);
-
-/// Render a sweep as a two-column table (value, total power).
-std::string sweep_table(const std::string& param,
-                        const std::vector<SweepPoint>& points);
 
 }  // namespace powerplay::sheet

@@ -1121,43 +1121,45 @@ Response PowerPlayApp::do_design_sweep(const Params& q) {
              << " grid)";
     work = [this, snapshot = std::move(snapshot), x,
             y](const engine::JobManager::Progress& progress) {
-      // Lane-batched columnar sweep: workers stream block metrics into
-      // shared column arrays (no per-point PlayResults), progress and
-      // cancellation/deadline checks fire once per lane block, and the
-      // renderers serialize straight off the columns.
       const sheet::ColumnarGrid g = engine_.sweep_grid_columnar(
           snapshot, x.param, x.values, y.param, y.values, progress);
-      engine::JobResult result{sheet::grid_table(g), sheet::grid_csv(g),
+      return engine::JobResult{sheet::grid_table(g), sheet::grid_csv(g),
                                sheet::grid_json(g)};
-      columnar_bytes_streamed_total_.fetch_add(
-          result.csv.size() + result.json.size());
-      return result;
-    };
-  } else if (!row.empty()) {
-    const sheet::Row* r = snapshot.find_row(row);
-    if (r == nullptr) return Response::not_found("row '" + row + "'");
-    describe << "sweep " << name << ": " << row << "." << x.param << " ("
-             << x.values.size() << " points)";
-    work = [this, snapshot = std::move(snapshot), row,
-            x](const engine::JobManager::Progress& progress) {
-      const auto points = engine_.sweep_row_param(snapshot, row, x.param,
-                                                  x.values, progress);
-      return engine::JobResult{sheet::sweep_table(x.param, points),
-                               sheet::sweep_csv(x.param, points)};
     };
   } else {
-    sheet::require_globals(snapshot, {x.param}, "sweep");
-    describe << "sweep " << name << ": " << x.param << " ("
-             << x.values.size() << " points)";
-    work = [this, snapshot = std::move(snapshot),
+    if (!row.empty()) {
+      if (snapshot.find_row(row) == nullptr) {
+        return Response::not_found("row '" + row + "'");
+      }
+      describe << "sweep " << name << ": " << row << "." << x.param;
+    } else {
+      sheet::require_globals(snapshot, {x.param}, "sweep");
+      describe << "sweep " << name << ": " << x.param;
+    }
+    describe << " (" << x.values.size() << " points)";
+    work = [this, snapshot = std::move(snapshot), row,
             x](const engine::JobManager::Progress& progress) {
-      const auto points =
-          engine_.sweep_global(snapshot, x.param, x.values, progress);
-      return engine::JobResult{sheet::sweep_table(x.param, points),
-                               sheet::sweep_csv(x.param, points)};
+      const sheet::PointColumns cols =
+          row.empty() ? engine_.sweep_global(snapshot, x.param, x.values,
+                                             progress)
+                      : engine_.sweep_row_param(snapshot, row, x.param,
+                                                x.values, progress);
+      return engine::JobResult{sheet::sweep_table(x.param, x.values, cols),
+                               sheet::sweep_csv(x.param, x.values, cols)};
     };
   }
 
+  // Every sweep kind is lane-batched: workers stream block metrics into
+  // shared column arrays (no per-point PlayResults), progress and
+  // cancellation/deadline checks fire once per lane block, and the
+  // renderers serialize straight off the columns.
+  work = [this, sweep = std::move(work)](
+             const engine::JobManager::Progress& progress) {
+    engine::JobResult result = sweep(progress);
+    columnar_bytes_streamed_total_.fetch_add(result.csv.size() +
+                                             result.json.size());
+    return result;
+  };
   const std::uint64_t id = jobs_.submit(user, describe.str(),
                                         std::move(work));
   std::ostringstream os;

@@ -265,8 +265,8 @@ class PowerPlayApp {
   std::atomic<std::uint64_t> mc_points_total_{0};
   std::atomic<std::uint64_t> surrogate_fits_total_{0};
   mutable std::atomic<std::uint64_t> surrogate_hits_total_{0};
-  /// Bytes of columnar sweep payload (csv + json) rendered by batched
-  /// grid jobs, for /healthz.
+  /// Bytes of columnar sweep payload (csv + json) rendered by sweep
+  /// jobs, for /healthz.
   std::atomic<std::uint64_t> columnar_bytes_streamed_total_{0};
 };
 

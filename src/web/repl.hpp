@@ -96,8 +96,9 @@ class ReplicationFollower {
   [[nodiscard]] ReplicationStats stats() const;
   [[nodiscard]] bool running() const { return running_.load(); }
 
-  /// Test/ops helper: block until the local cursor reaches `seq` (true)
-  /// or `timeout` lapses (false).
+  /// Test/ops helper: block until the published stats() show a synced
+  /// cursor at or past `seq` (true) or `timeout` lapses (false).  A
+  /// stats() read after a true return sees that position.
   bool wait_for_seq(std::uint64_t seq, std::chrono::milliseconds timeout);
 
  private:
@@ -116,6 +117,7 @@ class ReplicationFollower {
   std::atomic<bool> running_{false};
 
   mutable std::mutex mutex_;  ///< guards stats_ and the sleep cv
+  /// Wakes backoff sleeps on stop() and wait_for_seq on each publish.
   std::condition_variable cv_;
   ReplicationStats stats_;
   bool caught_up_ = false;

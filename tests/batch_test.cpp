@@ -1,16 +1,19 @@
-// Differential tests of the lane-batched columnar evaluation paths
-// (sheet/batch.hpp, the engine's sweep_grid_columnar and
-// play_points_columnar) against the scalar compiled-plan paths: grids
-// and point sets must come back bit-identical, lane-divergent
-// conditionals must replay without changing a bit, intermodel plans
-// must fall back to the per-point scalar fixed point, degenerate
-// batches must skip the lane machinery, and the batched substrate must
-// stay byte-deterministic across thread counts (the web_tsan target
-// runs this file under ThreadSanitizer).
+// Differential tests of the lane-batched columnar sweep driver
+// (sheet/batch.hpp behind every EvalEngine sweep: sweep_global,
+// sweep_row_param, sweep_grid_columnar, play_points_columnar) against
+// the serial reference loops of sheet/sweep.hpp: grids, 1-D sweeps and
+// point sets must come back bit-identical, lane-divergent conditionals
+// must replay without changing a bit, intermodel plans must fall back
+// to the per-point scalar fixed point, degenerate batches must skip the
+// lane machinery, and the driver must stay byte-deterministic across
+// thread counts (the web_tsan and sanitize_asan targets run this file
+// under the sanitizers).
 #include "sheet/batch.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -63,41 +66,78 @@ sheet::Design converter_design() {
   return d;
 }
 
-void expect_columns_match_plays(const sheet::PointColumns& cols,
-                                const std::vector<sheet::PlayResult>& plays) {
-  ASSERT_EQ(cols.size(), plays.size());
-  for (std::size_t i = 0; i < plays.size(); ++i) {
-    EXPECT_EQ(cols.power_w[i], plays[i].total.total_power().si()) << i;
-    EXPECT_EQ(cols.energy_j[i], plays[i].total.energy_per_op.si()) << i;
-    EXPECT_EQ(cols.area_m2[i], plays[i].total.area.si()) << i;
-    EXPECT_EQ(cols.delay_s[i], plays[i].total.delay.si()) << i;
+/// Serial reference for a point set: clone, set the globals, Play
+/// through the interpreter — what sheet::sweep_global does per point.
+sheet::PointColumns serial_points(
+    const sheet::Design& design, const std::vector<std::string>& params,
+    const std::vector<std::vector<double>>& points) {
+  sheet::PointColumns cols;
+  cols.resize(points.size());
+  sheet::Design work = design;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t j = 0; j < params.size(); ++j) {
+      work.globals().set(params[j], points[i][j]);
+    }
+    cols.set(i, work.play());
   }
+  return cols;
+}
+
+void expect_same_columns(const sheet::PointColumns& want,
+                         const sheet::PointColumns& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want.power_w[i], got.power_w[i]) << i;
+    EXPECT_EQ(want.energy_j[i], got.energy_j[i]) << i;
+    EXPECT_EQ(want.area_m2[i], got.area_m2[i]) << i;
+    EXPECT_EQ(want.delay_s[i], got.delay_s[i]) << i;
+  }
+}
+
+/// The error message `fn` throws as an ExprError ("" when it does not).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const expr::ExprError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// Counter-RNG values of one parameter, `n` of them in [lo, hi).
+std::vector<double> sampled(double lo, double hi, std::size_t n,
+                            std::uint64_t seed) {
+  const auto dists = explore::parse_dist_params(
+      "x=uniform(" + std::to_string(lo) + "," + std::to_string(hi) + ")");
+  std::vector<double> out;
+  for (const auto& p : explore::sample_points(dists, n, seed)) {
+    out.push_back(p[0]);
+  }
+  return out;
+}
+
+/// The same, floored: widths are whole bits.
+std::vector<double> sampled_widths(double lo, double hi, std::size_t n,
+                                   std::uint64_t seed) {
+  std::vector<double> out = sampled(lo, hi, n, seed);
+  for (double& v : out) v = std::floor(v);
+  return out;
 }
 
 // --- grids -------------------------------------------------------------------
 
-TEST(BatchGrid, ColumnarGridBitIdenticalToScalarSweep) {
+TEST(BatchGrid, ColumnarGridBitIdenticalToSerialSweep) {
   EvalEngine engine;
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const auto vdds = sheet::linspace(1.0, 3.0, 16);
   const auto rates = sheet::linspace(1e6, 4e6, 16);
 
   const sheet::GridSweep scalar =
-      engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
+      sheet::sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
   const sheet::ColumnarGrid batched =
       engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
-
-  ASSERT_EQ(batched.cols.size(), vdds.size() * rates.size());
-  for (std::size_t i = 0; i < vdds.size(); ++i) {
-    for (std::size_t j = 0; j < rates.size(); ++j) {
-      const std::size_t k = i * rates.size() + j;
-      const sheet::PlayResult& r = scalar.results[i][j];
-      EXPECT_EQ(batched.cols.power_w[k], r.total.total_power().si());
-      EXPECT_EQ(batched.cols.energy_j[k], r.total.energy_per_op.si());
-      EXPECT_EQ(batched.cols.area_m2[k], r.total.area.si());
-      EXPECT_EQ(batched.cols.delay_s[k], r.total.delay.si());
-    }
-  }
+  expect_same_columns(sheet::to_columnar(scalar).cols, batched.cols);
 
   // Given bit-identical values the columnar renderers emit the same
   // bytes as the PlayResult-based ones.
@@ -115,7 +155,7 @@ TEST(BatchGrid, ColumnarGridBitIdenticalToScalarSweep) {
   EXPECT_GT(c.term_capture_rows, 0u);
 }
 
-TEST(BatchGrid, ValidationMatchesScalarSweep) {
+TEST(BatchGrid, ValidationMatchesSerialSweep) {
   EvalEngine engine;
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const auto values = sheet::linspace(1.0, 2.0, 4);
@@ -127,9 +167,9 @@ TEST(BatchGrid, ValidationMatchesScalarSweep) {
       expr::ExprError);
 }
 
-// --- point batches -----------------------------------------------------------
+// --- point batches and 1-D sweeps ------------------------------------------
 
-TEST(BatchPoints, ColumnarMatchesPlayPointsOnBranchyFormulas) {
+TEST(BatchPoints, ColumnarMatchesSerialOnBranchyFormulas) {
   EvalEngine engine;
   const sheet::Design d = branchy_design();
   std::vector<std::vector<double>> points;
@@ -138,37 +178,47 @@ TEST(BatchPoints, ColumnarMatchesPlayPointsOnBranchyFormulas) {
       points.push_back({vdd, f});
     }
   }
-  const auto plays = engine.play_points(d, {"vdd", "f"}, points);
-  const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, points);
-  expect_columns_match_plays(cols, plays);
+  expect_same_columns(serial_points(d, {"vdd", "f"}, points),
+                      engine.play_points_columnar(d, {"vdd", "f"}, points));
 }
 
 TEST(BatchPoints, DifferentialFuzzTenThousandRandomPoints) {
   // >= 10k counter-RNG points across both branch thresholds; every
-  // point must come back bit-equal to the scalar compiled plan.
+  // point must come back bit-equal to the serial reference.  The same
+  // values drive 1-D global sweeps over each threshold and a row sweep
+  // whose formula-bound parameter is overridden per point.
   EvalEngine engine;
   const sheet::Design d = branchy_design();
   const auto dists =
       explore::parse_dist_params("vdd=uniform(1.0,2.0);f=uniform(5e5,4e6)");
   const auto points = explore::sample_points(dists, 10240, 99);
-  const auto plays = engine.play_points(d, {"vdd", "f"}, points);
-  const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, points);
-  expect_columns_match_plays(cols, plays);
+  expect_same_columns(serial_points(d, {"vdd", "f"}, points),
+                      engine.play_points_columnar(d, {"vdd", "f"}, points));
+
+  const std::vector<double> vdds = sampled(1.0, 2.0, 10240, 7);
+  const std::vector<double> fs = sampled(5e5, 4e6, 10240, 8);
+  expect_same_columns(sheet::to_columns(sheet::sweep_global(d, "vdd", vdds)),
+                      engine.sweep_global(d, "vdd", vdds));
+  expect_same_columns(sheet::to_columns(sheet::sweep_global(d, "f", fs)),
+                      engine.sweep_global(d, "f", fs));
+  const std::vector<double> bits = sampled_widths(4, 64, 10240, 9);
+  expect_same_columns(
+      sheet::to_columns(sheet::sweep_row_param(d, "reg", "bits", bits)),
+      engine.sweep_row_param(d, "reg", "bits", bits));
 }
 
 TEST(BatchPoints, LaneDivergentConditionalReplaysWithoutDrift) {
   // One 64-lane block whose lanes straddle the `vdd < 1.5` threshold:
   // the batch interpreter must detect the divergent branch, replay
-  // lane-by-lane, and still reproduce the scalar doubles.
+  // lane-by-lane, and still reproduce the serial doubles.
   EvalEngine engine;
   const sheet::Design d = branchy_design();
   std::vector<std::vector<double>> points;
   for (std::size_t i = 0; i < 64; ++i) {
     points.push_back({i % 2 == 0 ? 1.2 : 1.8, 1e6});
   }
-  const auto plays = engine.play_points(d, {"vdd", "f"}, points);
-  const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, points);
-  expect_columns_match_plays(cols, plays);
+  expect_same_columns(serial_points(d, {"vdd", "f"}, points),
+                      engine.play_points_columnar(d, {"vdd", "f"}, points));
   const BatchCounters c = engine.batch_counters();
   EXPECT_GT(c.lane_replays, 0u);
   EXPECT_EQ(c.scalar_fallback_points, 0u);
@@ -176,27 +226,40 @@ TEST(BatchPoints, LaneDivergentConditionalReplaysWithoutDrift) {
 
 TEST(BatchPoints, IntermodelPlansFallBackToScalarFixedPoint) {
   // The converter design needs the per-point fixed point (rowpower):
-  // the columnar call must answer bit-identically via the scalar
-  // fallback and count every point as a fallback.
+  // every columnar call — point sets, 1-D global and row sweeps — must
+  // answer bit-identically via the scalar fallback and count every
+  // point as a fallback.
   EvalEngine engine;
   const sheet::Design d = converter_design();
   std::vector<std::vector<double>> points;
+  std::vector<double> bases;
+  std::vector<double> efficiencies;
   for (std::size_t i = 0; i < 100; ++i) {
     points.push_back({5.0 + 0.02 * static_cast<double>(i),
                       0.5 + 0.01 * static_cast<double>(i)});
+    bases.push_back(points.back()[1]);
+    efficiencies.push_back(0.5 + 0.004 * static_cast<double>(i));
   }
-  const auto plays = engine.play_points(d, {"vdd", "p_base"}, points);
-  const auto cols = engine.play_points_columnar(d, {"vdd", "p_base"}, points);
-  expect_columns_match_plays(cols, plays);
+  expect_same_columns(
+      serial_points(d, {"vdd", "p_base"}, points),
+      engine.play_points_columnar(d, {"vdd", "p_base"}, points));
+  expect_same_columns(
+      sheet::to_columns(sheet::sweep_global(d, "p_base", bases)),
+      engine.sweep_global(d, "p_base", bases));
+  expect_same_columns(
+      sheet::to_columns(
+          sheet::sweep_row_param(d, "Conv", "efficiency", efficiencies)),
+      engine.sweep_row_param(d, "Conv", "efficiency", efficiencies));
   const BatchCounters c = engine.batch_counters();
-  EXPECT_EQ(c.scalar_fallback_points, points.size());
+  EXPECT_EQ(c.scalar_fallback_points, 300u);
   EXPECT_EQ(c.blocks, 0u);
 }
 
-TEST(BatchPoints, ErrorsMatchTheScalarPath) {
+TEST(BatchPoints, ErrorsMatchTheSerialPath) {
   // A block where some lanes divide by zero: the batch path degrades
   // the block to the scalar loop, so the error that escapes is exactly
-  // the scalar sweep's (message included).
+  // the serial sweep's (message included) — for point sets, 1-D global
+  // sweeps and row sweeps alike.
   EvalEngine engine;
   sheet::Design d("divzero");
   d.globals().set("vdd", 1.5);
@@ -205,23 +268,32 @@ TEST(BatchPoints, ErrorsMatchTheScalarPath) {
   d.add_row("reg", lib().find_shared("register"))
       .params.set_formula("bits", "16 / denom");
   std::vector<std::vector<double>> points;
+  std::vector<double> denoms;
   for (std::size_t i = 0; i < 64; ++i) {
     points.push_back({static_cast<double>(i % 4)});
+    denoms.push_back(points.back()[0]);
   }
-  std::string scalar_error;
-  try {
-    (void)engine.play_points(d, {"denom"}, points);
-  } catch (const expr::ExprError& e) {
-    scalar_error = e.what();
-  }
-  ASSERT_FALSE(scalar_error.empty());
-  std::string batch_error;
-  try {
-    (void)engine.play_points_columnar(d, {"denom"}, points);
-  } catch (const expr::ExprError& e) {
-    batch_error = e.what();
-  }
-  EXPECT_EQ(batch_error, scalar_error);
+  const std::string serial_error =
+      error_of([&] { (void)sheet::sweep_global(d, "denom", denoms); });
+  ASSERT_FALSE(serial_error.empty());
+  EXPECT_EQ(error_of([&] {
+              (void)engine.play_points_columnar(d, {"denom"}, points);
+            }),
+            serial_error);
+  EXPECT_EQ(error_of([&] { (void)engine.sweep_global(d, "denom", denoms); }),
+            serial_error);
+
+  // Row sweep: a row parameter the divisor reads, swept through zero.
+  sheet::Design row_design = d;
+  row_design.find_row("reg")->params.set_formula("bits", "16 / alpha");
+  const std::string serial_row_error = error_of([&] {
+    (void)sheet::sweep_row_param(row_design, "reg", "alpha", denoms);
+  });
+  ASSERT_FALSE(serial_row_error.empty());
+  EXPECT_EQ(error_of([&] {
+              (void)engine.sweep_row_param(row_design, "reg", "alpha", denoms);
+            }),
+            serial_row_error);
 }
 
 // --- degenerate batches ------------------------------------------------------
@@ -230,22 +302,20 @@ TEST(BatchPoints, EmptyAndSinglePointBatchesTakeTheScalarPath) {
   EvalEngine engine;
   const sheet::Design d = branchy_design();
 
-  const auto empty = engine.play_points_columnar(d, {"vdd", "f"}, {});
-  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(engine.play_points_columnar(d, {"vdd", "f"}, {}).size(), 0u);
+  EXPECT_EQ(engine.sweep_global(d, "vdd", {}).size(), 0u);
+  EXPECT_EQ(engine.sweep_row_param(d, "reg", "bits", {}).size(), 0u);
 
   const std::vector<std::vector<double>> one{{1.4, 2e6}};
-  const auto plays = engine.play_points(d, {"vdd", "f"}, one);
-  const auto cols = engine.play_points_columnar(d, {"vdd", "f"}, one);
-  expect_columns_match_plays(cols, plays);
+  expect_same_columns(serial_points(d, {"vdd", "f"}, one),
+                      engine.play_points_columnar(d, {"vdd", "f"}, one));
 
   // A 1x1 grid is a single point too.
   const sheet::ColumnarGrid grid =
       engine.sweep_grid_columnar(d, "vdd", {1.5}, "f", {1e6});
-  ASSERT_EQ(grid.cols.size(), 1u);
-  const sheet::GridSweep scalar =
-      engine.sweep_grid(d, "vdd", {1.5}, "f", {1e6});
-  EXPECT_EQ(grid.cols.power_w[0],
-            scalar.results[0][0].total.total_power().si());
+  expect_same_columns(
+      sheet::to_columnar(sheet::sweep_grid(d, "vdd", {1.5}, "f", {1e6})).cols,
+      grid.cols);
 
   // Degenerate batches never ran a lane block; they are all fallbacks.
   const BatchCounters c = engine.batch_counters();
@@ -266,33 +336,48 @@ TEST(BatchGrid, EmptyAxesProduceEmptyColumns) {
 // --- progress at batch granularity ------------------------------------------
 
 TEST(BatchGrid, ProgressReportsOncePerLaneBlock) {
+  // Every sweep kind reports (and so checks job cancellation and
+  // deadlines) once per 64-lane block, never per point.
+  constexpr std::size_t kW = sheet::BatchPlanInstance::kLaneWidth;
   EvalEngine engine;
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const auto vdds = sheet::linspace(1.0, 3.0, 16);
   const auto rates = sheet::linspace(1e6, 4e6, 16);
-  std::atomic<std::size_t> calls{0};
-  std::atomic<std::size_t> reported{0};
-  (void)engine.sweep_grid_columnar(
-      d, "vdd", vdds, "pixel_rate", rates,
-      [&](std::size_t done, std::size_t total) {
-        calls.fetch_add(1);
-        EXPECT_EQ(total, vdds.size() * rates.size());
-        if (done == total) reported.fetch_add(1);
-      });
-  const std::size_t total = vdds.size() * rates.size();
-  const std::size_t blocks =
-      (total + sheet::BatchPlanInstance::kLaneWidth - 1) /
-      sheet::BatchPlanInstance::kLaneWidth;
-  EXPECT_EQ(calls.load(), blocks);
-  EXPECT_EQ(reported.load(), 1u);
+  const auto words = sheet::linspace(256, 456, 201);
+  const auto counted = [](std::size_t want_total, auto&& sweep) {
+    std::atomic<std::size_t> calls{0};
+    std::atomic<std::size_t> reported{0};
+    sweep([&](std::size_t done, std::size_t total) {
+      calls.fetch_add(1);
+      EXPECT_EQ(total, want_total);
+      if (done == total) reported.fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), (want_total + kW - 1) / kW);
+    EXPECT_EQ(reported.load(), 1u);
+  };
+  counted(vdds.size() * rates.size(), [&](const sheet::SweepProgress& p) {
+    (void)engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates, p);
+  });
+  const auto line = sheet::linspace(1e6, 4e6, 160);
+  counted(line.size(), [&](const sheet::SweepProgress& p) {
+    (void)engine.sweep_global(d, "pixel_rate", line, p);
+  });
+  counted(words.size(), [&](const sheet::SweepProgress& p) {
+    (void)engine.sweep_row_param(d, "Read Bank", "words", words, p);
+  });
+  counted(words.size(), [&](const sheet::SweepProgress& p) {
+    std::vector<std::vector<double>> points;
+    for (double w : words) points.push_back({w / 256.0 + 0.5});
+    (void)engine.play_points_columnar(d, {"vdd"}, points, p);
+  });
 }
 
 // --- thread-count determinism ------------------------------------------------
 
 TEST(BatchPoints, BatchedPointsBitIdenticalAcrossThreadCounts) {
-  // Lane blocks partition by point index, never by worker, so the
-  // batched Monte Carlo substrate returns the same bytes at 1 and 8
-  // threads.
+  // Lane blocks partition by point index, never by worker, so every
+  // sweep kind returns the same bytes at 1 and 8 threads — and the
+  // serial reference's bytes.
   EngineOptions one;
   one.executor.thread_count = 1;
   EngineOptions eight;
@@ -304,14 +389,28 @@ TEST(BatchPoints, BatchedPointsBitIdenticalAcrossThreadCounts) {
       explore::parse_dist_params("vdd=uniform(1.0,2.0);f=choice(1e6,2e6,4e6)");
   const auto points = explore::sample_points(dists, 1000, 11);
   const auto a = e1.play_points_columnar(d, {"vdd", "f"}, points);
-  const auto b = e8.play_points_columnar(d, {"vdd", "f"}, points);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.power_w[i], b.power_w[i]) << i;
-    EXPECT_EQ(a.energy_j[i], b.energy_j[i]) << i;
-    EXPECT_EQ(a.area_m2[i], b.area_m2[i]) << i;
-    EXPECT_EQ(a.delay_s[i], b.delay_s[i]) << i;
-  }
+  expect_same_columns(a, e8.play_points_columnar(d, {"vdd", "f"}, points));
+  expect_same_columns(serial_points(d, {"vdd", "f"}, points), a);
+
+  const std::vector<double> vdds = sampled(1.0, 2.0, 1000, 12);
+  const auto g = e1.sweep_global(d, "vdd", vdds);
+  expect_same_columns(g, e8.sweep_global(d, "vdd", vdds));
+  expect_same_columns(sheet::to_columns(sheet::sweep_global(d, "vdd", vdds)),
+                      g);
+
+  const std::vector<double> bits = sampled_widths(4, 64, 1000, 13);
+  const auto r = e1.sweep_row_param(d, "add", "bitwidth", bits);
+  expect_same_columns(r, e8.sweep_row_param(d, "add", "bitwidth", bits));
+  expect_same_columns(
+      sheet::to_columns(sheet::sweep_row_param(d, "add", "bitwidth", bits)),
+      r);
+
+  const sheet::Design conv = converter_design();
+  const std::vector<double> bases = sampled(0.5, 1.5, 300, 14);
+  const auto c = e1.sweep_global(conv, "p_base", bases);
+  expect_same_columns(c, e8.sweep_global(conv, "p_base", bases));
+  expect_same_columns(
+      sheet::to_columns(sheet::sweep_global(conv, "p_base", bases)), c);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Unit tests of the parallel evaluation engine: executor, fingerprint,
-// Play cache, engine-backed sweeps (bit-identical to serial), and the
-// async job manager.
+// Play cache, engine sweeps (columnar, bit-identical to the serial
+// reference loops), and the async job manager.
 #include "engine/engine.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -163,47 +165,43 @@ TEST(EvalEngine, RepeatedPlayOfUnchangedDesignIsACacheHit) {
   EXPECT_EQ(engine.cache().stats().misses, 2u);
 }
 
-// --- Engine-backed sweeps ---------------------------------------------------
+// --- Engine sweeps (columnar, against the serial reference) ---------------
+
+/// Bit-for-bit column comparison (vector == on doubles would let +0 and
+/// -0 pass as equal).
+void expect_bit_identical(const sheet::PointColumns& want,
+                          const sheet::PointColumns& got) {
+  ASSERT_EQ(want.size(), got.size());
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out(v.size());
+    std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+    return out;
+  };
+  EXPECT_EQ(bits(want.power_w), bits(got.power_w));
+  EXPECT_EQ(bits(want.energy_j), bits(got.energy_j));
+  EXPECT_EQ(bits(want.area_m2), bits(got.area_m2));
+  EXPECT_EQ(bits(want.delay_s), bits(got.delay_s));
+}
 
 TEST(EngineSweep, GlobalSweepBitIdenticalToSerial) {
   EvalEngine engine({{4, 64}, 1024});
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const std::vector<double> vdds = sheet::linspace(1.0, 3.0, 9);
-  const auto serial = sheet::sweep_global(d, "vdd", vdds);
-  const auto parallel = engine.sweep_global(d, "vdd", vdds);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].value, parallel[i].value);
-    EXPECT_EQ(serial[i].result.total.total_power().si(),
-              parallel[i].result.total.total_power().si());
-    EXPECT_EQ(serial[i].result.total.energy_per_op.si(),
-              parallel[i].result.total.energy_per_op.si());
-  }
+  expect_bit_identical(sheet::to_columns(sheet::sweep_global(d, "vdd", vdds)),
+                       engine.sweep_global(d, "vdd", vdds));
 }
 
-TEST(EngineSweep, GridSweepBitIdenticalToSerialAndCached) {
+TEST(EngineSweep, GridSweepBitIdenticalToSerial) {
   EvalEngine engine({{4, 64}, 1024});
   const sheet::Design d = studies::make_luminance_impl2(lib());
   const auto vdds = sheet::linspace(1.0, 3.0, 8);
   const auto rates = sheet::linspace(1e6, 4e6, 8);
-  const auto serial = sheet::sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const auto parallel =
-      engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  ASSERT_EQ(serial.results.size(), parallel.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    ASSERT_EQ(serial.results[i].size(), parallel.results[i].size());
-    for (std::size_t j = 0; j < serial.results[i].size(); ++j) {
-      EXPECT_EQ(serial.results[i][j].total.total_power().si(),
-                parallel.results[i][j].total.total_power().si())
-          << "(" << i << "," << j << ")";
-    }
-  }
-  // Re-sweeping the identical grid hits the cache for every point.
-  const CacheStats before = engine.cache().stats();
-  (void)engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const CacheStats after = engine.cache().stats();
-  EXPECT_EQ(after.hits, before.hits + 64);
-  EXPECT_EQ(after.misses, before.misses);
+  const sheet::ColumnarGrid serial = sheet::to_columnar(
+      sheet::sweep_grid(d, "vdd", vdds, "pixel_rate", rates));
+  const sheet::ColumnarGrid grid =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  expect_bit_identical(serial.cols, grid.cols);
+  EXPECT_EQ(sheet::grid_csv(serial), sheet::grid_csv(grid));
 }
 
 TEST(EngineSweep, RowParamSweepMatchesSerial) {
@@ -211,26 +209,14 @@ TEST(EngineSweep, RowParamSweepMatchesSerial) {
   const sheet::Design d = adder_design();
   const std::vector<double> widths = {8, 16, 24, 32};
   const auto serial = sheet::sweep_row_param(d, "A", "bitwidth", widths);
-  const auto parallel = engine.sweep_row_param(d, "A", "bitwidth", widths);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].result.total.total_power().si(),
-              parallel[i].result.total.total_power().si());
-  }
-}
-
-TEST(EngineSweep, ProgressReportsEveryPoint) {
-  EvalEngine engine;
-  const sheet::Design d = adder_design();
-  std::atomic<std::size_t> calls{0};
-  std::atomic<std::size_t> final_done{0};
-  (void)engine.sweep_global(d, "vdd", sheet::linspace(1, 2, 5),
-                            [&](std::size_t done, std::size_t total) {
-                              ++calls;
-                              if (done == total) final_done = done;
-                            });
-  EXPECT_EQ(calls.load(), 5u);
-  EXPECT_EQ(final_done.load(), 5u);
+  const sheet::PointColumns cols =
+      engine.sweep_row_param(d, "A", "bitwidth", widths);
+  expect_bit_identical(sheet::to_columns(serial), cols);
+  // The columnar renderers emit the serial renderers' bytes.
+  EXPECT_EQ(sheet::sweep_csv("bitwidth", serial),
+            sheet::sweep_csv("bitwidth", widths, cols));
+  EXPECT_EQ(sheet::sweep_table("bitwidth", serial),
+            sheet::sweep_table("bitwidth", widths, cols));
 }
 
 // --- Sweep validation (the silent-create bugfix) ----------------------------
@@ -243,15 +229,23 @@ TEST(SweepValidation, UnknownGlobalThrowsInsteadOfCreating) {
   EvalEngine engine;
   EXPECT_THROW((void)engine.sweep_global(d, "vdd_typo", {1, 2}),
                expr::ExprError);
+  EXPECT_THROW(
+      (void)engine.sweep_grid_columnar(d, "vdd", {1}, "freq_typo", {1e6}),
+      expr::ExprError);
 }
 
 TEST(SweepValidation, UnknownRowParamThrows) {
   const sheet::Design d = adder_design();
   EXPECT_THROW(sheet::sweep_row_param(d, "A", "bitwidht", {8}),
                expr::ExprError);
+  EvalEngine engine;
+  EXPECT_THROW((void)engine.sweep_row_param(d, "A", "bitwidht", {8}),
+               expr::ExprError);
   // Model-declared parameters are sweepable even when not yet bound.
   const auto points = sheet::sweep_row_param(d, "A", "alpha", {0.5, 1.0});
   EXPECT_EQ(points.size(), 2u);
+  expect_bit_identical(sheet::to_columns(points),
+                       engine.sweep_row_param(d, "A", "alpha", {0.5, 1.0}));
 }
 
 // --- grid_csv ---------------------------------------------------------------
@@ -415,19 +409,25 @@ TEST(JobManager, DrainCancelsEverythingAndRejectsNewWork) {
 TEST(JobManager, CancelledSweepFreesItsRunner) {
   // End-to-end through the engine: the Progress wrapper's exception has
   // to propagate out of parallel_for / TaskGroup and stop the sweep
-  // within one point's granularity.
+  // within one lane block's granularity.
   EvalEngine engine({{2, 64}, 1024});
   JobManager jobs(1, 16);
   const sheet::Design d = adder_design();
   std::atomic<bool> started{false};
+  std::atomic<bool> cancel_sent{false};
   const std::uint64_t id = jobs.submit(
       "dl", "sweep", [&](const JobManager::Progress& progress) {
-        const auto points = engine.sweep_global(
+        // Progress fires once per 64-point block, so a 400-point sweep
+        // is only seven calls: hold each block until the cancel is in,
+        // or the sweep could finish first.
+        (void)engine.sweep_global(
             d, "vdd", sheet::linspace(1.0, 3.0, 400),
             [&](std::size_t done, std::size_t total) {
               started = true;
+              while (!cancel_sent.load()) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              }
               progress(done, total);
-              std::this_thread::sleep_for(std::chrono::milliseconds(1));
             });
         return JobResult{"done", "done"};
       });
@@ -435,6 +435,7 @@ TEST(JobManager, CancelledSweepFreesItsRunner) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   jobs.cancel(id);
+  cancel_sent = true;
   jobs.wait_idle();
   const auto snap = jobs.get(id);
   ASSERT_TRUE(snap.has_value());

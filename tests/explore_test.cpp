@@ -19,6 +19,7 @@
 #include "explore/surrogate.hpp"
 #include "model/user_model.hpp"
 #include "models/berkeley_library.hpp"
+#include "sheet/sweep.hpp"
 #include "studies/vq.hpp"
 #include "web/app.hpp"
 #include "web/client.hpp"
@@ -166,6 +167,15 @@ TEST(MonteCarlo, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.mean_w, b.mean_w);
   EXPECT_EQ(a.stddev_w, b.stddev_w);
   EXPECT_EQ(mc_csv(a), mc_csv(b));
+
+  // And every sample equals the serial reference Play of its point.
+  sheet::Design work = design;
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    work.globals().set("vdd", a.points[i][0]);
+    work.globals().set("pixel_rate", a.points[i][1]);
+    EXPECT_EQ(a.power_w[i], work.play().total.total_power().si())
+        << "sample " << i;
+  }
 }
 
 TEST(MonteCarlo, BudgetExceedanceAndSummary) {
@@ -276,9 +286,10 @@ TEST(Inverse, FindsLargestRateUnderPowerBudget) {
   const sheet::Design design = studies::make_luminance_impl2(lib());
   // Measure power at 2 MHz, then ask for the largest rate within that
   // budget over [1, 4] MHz: the answer must come back ~2 MHz.
-  const auto probe =
-      eng().play_points(design, {"pixel_rate"}, {{2e6}});
-  const double budget = probe.front().total.total_power().si();
+  const double budget = sheet::sweep_global(design, "pixel_rate", {2e6})
+                            .front()
+                            .result.total.total_power()
+                            .si();
 
   InverseSpec spec;
   spec.param = "pixel_rate";
@@ -293,6 +304,35 @@ TEST(Inverse, FindsLargestRateUnderPowerBudget) {
   EXPECT_LE(r.metric_value, budget * (1 + 1e-12));
   EXPECT_LE(r.iterations, spec.max_iters);
   EXPECT_GT(r.evaluations, 0u);
+}
+
+TEST(Inverse, AnswerBitIdenticalToSerialAtOneAndEightThreads) {
+  // The probe runs lane-batched and the bisection on one PlanInstance;
+  // the answer must not depend on the thread count, and its metric must
+  // be the serial reference Play's at the answer.
+  engine::EngineOptions one;
+  one.executor.thread_count = 1;
+  engine::EngineOptions eight;
+  eight.executor.thread_count = 8;
+  engine::EvalEngine e1(one);
+  engine::EvalEngine e8(eight);
+  const sheet::Design design = studies::make_luminance_impl2(lib());
+  InverseSpec spec;
+  spec.param = "vdd";
+  spec.lo = 0.9;
+  spec.hi = 3.3;
+  spec.limit =
+      sheet::sweep_global(design, "vdd", {2.0}).front().result.total
+          .total_power().si();
+  const InverseResult a = solve_inverse(e1, design, spec);
+  const InverseResult b = solve_inverse(e8, design, spec);
+  EXPECT_EQ(inverse_csv(spec, a), inverse_csv(spec, b));
+  ASSERT_TRUE(a.feasible);
+  EXPECT_GT(a.iterations, 0u);
+  EXPECT_EQ(a.evaluations, spec.probe_points + a.iterations);
+  const auto serial = sheet::sweep_global(design, "vdd", {a.param_value});
+  EXPECT_EQ(a.metric_value, serial.front().result.total.total_power().si());
+  EXPECT_LE(a.metric_value, spec.limit);
 }
 
 TEST(Inverse, EndpointAndInfeasibleCases) {
@@ -371,13 +411,13 @@ TEST(Surrogate, DifferentialAgainstExactPlan) {
   // points themselves.
   const model::UserModel as_model(fit.definition);
   const auto points = sample_points(spec.params, spec.samples, spec.seed);
-  const auto plays =
-      eng().play_points(design, {"vdd", "pixel_rate"}, points);
+  const sheet::PointColumns plays =
+      eng().play_points_columnar(design, {"vdd", "pixel_rate"}, points);
   std::size_t holdout_seen = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (i % 4 != 3) continue;  // the deterministic holdout split
     ++holdout_seen;
-    const double exact = plays[i].total.total_power().si();
+    const double exact = plays.power_w[i];
     const double predicted = surrogate_predict(fit, points[i]);
 
     model::MapParamReader reader;

@@ -1,5 +1,5 @@
 // Differential tests of compiled evaluation plans against the
-// interpreter, the engine's plan-backed Play and clone-free sweeps
+// interpreter, the engine's plan-backed Play and columnar sweeps
 // against the serial clone-per-point loops, plan-cache keying, and
 // concurrent PlanInstances sharing one plan (the web_tsan target runs
 // this file under ThreadSanitizer).
@@ -180,17 +180,24 @@ TEST(PlanEngine, PlanCacheHitsOnStructurallyIdenticalDesigns) {
   EXPECT_EQ(engine.plans().stats().misses, 2u);
 }
 
+/// Engine sweeps return columns; the serial reference returns
+/// PlayResults.  Every metric must agree bit for bit.
+void expect_same_columns(const PointColumns& want, const PointColumns& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want.power_w[i], got.power_w[i]) << i;
+    EXPECT_EQ(want.energy_j[i], got.energy_j[i]) << i;
+    EXPECT_EQ(want.area_m2[i], got.area_m2[i]) << i;
+    EXPECT_EQ(want.delay_s[i], got.delay_s[i]) << i;
+  }
+}
+
 TEST(PlanEngine, SweepGlobalMatchesSerial) {
   engine::EvalEngine engine;
   const Design d = studies::make_luminance_impl2(lib());
   const auto values = linspace(1.0, 3.0, 7);
-  const auto serial = sweep_global(d, "vdd", values);
-  const auto compiled = engine.sweep_global(d, "vdd", values);
-  ASSERT_EQ(serial.size(), compiled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].value, compiled[i].value);
-    expect_same_result(serial[i].result, compiled[i].result);
-  }
+  expect_same_columns(to_columns(sweep_global(d, "vdd", values)),
+                      engine.sweep_global(d, "vdd", values));
   EXPECT_THROW((void)engine.sweep_global(d, "no_such", values),
                expr::ExprError);
 }
@@ -207,12 +214,8 @@ TEST(PlanEngine, SweepRowParamMatchesSerial) {
   const std::vector<double> widths = {8, 16, 24, 32};
 
   // Locally bound parameter: pure slot re-binding.
-  auto serial = sweep_row_param(d, "A", "bitwidth", widths);
-  auto compiled = engine.sweep_row_param(d, "A", "bitwidth", widths);
-  ASSERT_EQ(serial.size(), compiled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_result(serial[i].result, compiled[i].result);
-  }
+  expect_same_columns(to_columns(sweep_row_param(d, "A", "bitwidth", widths)),
+                      engine.sweep_row_param(d, "A", "bitwidth", widths));
 
   // Model-declared parameter the row does not bind: the engine clones
   // once per sweep to materialize the binding, results still match.
@@ -220,12 +223,8 @@ TEST(PlanEngine, SweepRowParamMatchesSerial) {
   def.globals().set("vdd", 1.5);
   def.globals().set("f", 1e6);
   def.add_row("r", lib().find_shared("register"));
-  serial = sweep_row_param(def, "r", "bits", {4, 8, 12});
-  compiled = engine.sweep_row_param(def, "r", "bits", {4, 8, 12});
-  ASSERT_EQ(serial.size(), compiled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_result(serial[i].result, compiled[i].result);
-  }
+  expect_same_columns(to_columns(sweep_row_param(def, "r", "bits", {4, 8, 12})),
+                      engine.sweep_row_param(def, "r", "bits", {4, 8, 12}));
 
   EXPECT_THROW((void)engine.sweep_row_param(d, "missing", "x", {1}),
                expr::ExprError);
@@ -233,48 +232,36 @@ TEST(PlanEngine, SweepRowParamMatchesSerial) {
                expr::ExprError);
 }
 
-TEST(PlanEngine, SweepGridMatchesSerialAndMemoizesRepeats) {
+TEST(PlanEngine, SweepRowParamOfMacroRowMatchesSerial) {
+  // A macro row's parameter rides on the sub-design's global until the
+  // sweep binds it on the row (one materializing clone per sweep).
+  engine::EvalEngine engine;
+  auto sub = std::make_shared<Design>("regmacro");
+  sub->globals().set("vdd", 1.5);
+  sub->globals().set("f", 1e6);
+  sub->add_row("reg", lib().find_shared("register")).params.set("bits", 8.0);
+  Design top("top");
+  top.globals().set("vdd", 1.5);
+  top.add_macro("M", sub);
+  const std::vector<double> rates = linspace(5e5, 4e6, 70);
+  expect_same_columns(to_columns(sweep_row_param(top, "M", "f", rates)),
+                      engine.sweep_row_param(top, "M", "f", rates));
+}
+
+TEST(PlanEngine, SweepGridMatchesSerial) {
   engine::EvalEngine engine;
   const Design d = studies::make_luminance_impl2(lib());
   const auto vdds = linspace(1.0, 3.0, 4);
   const auto rates = linspace(1e6, 4e6, 4);
-  const auto serial = sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const auto compiled = engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  ASSERT_EQ(serial.results.size(), compiled.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    ASSERT_EQ(serial.results[i].size(), compiled.results[i].size());
-    for (std::size_t j = 0; j < serial.results[i].size(); ++j) {
-      expect_same_result(serial.results[i][j], compiled.results[i][j]);
-    }
-  }
-
-  // Per-point keys are deterministic: re-running the identical sweep
-  // is pure cache hits, no fresh Plays.
-  const auto before = engine.cache().stats();
-  const auto again = engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  const auto after = engine.cache().stats();
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.hits, before.hits + vdds.size() * rates.size());
-  for (std::size_t i = 0; i < compiled.results.size(); ++i) {
-    for (std::size_t j = 0; j < compiled.results[i].size(); ++j) {
-      expect_same_result(compiled.results[i][j], again.results[i][j]);
-    }
-  }
-}
-
-TEST(PlanEngine, SweepProgressReportsEveryPoint) {
-  engine::EvalEngine engine;
-  const Design d = studies::make_luminance_impl2(lib());
-  std::atomic<std::size_t> calls{0};
-  std::atomic<std::size_t> final_done{0};
-  const auto values = linspace(1.0, 2.0, 5);
-  (void)engine.sweep_global(d, "vdd", values,
-                            [&](std::size_t done, std::size_t total) {
-                              calls.fetch_add(1);
-                              if (done == total) final_done.fetch_add(1);
-                            });
-  EXPECT_EQ(calls.load(), values.size());
-  EXPECT_EQ(final_done.load(), 1u);
+  const ColumnarGrid serial =
+      to_columnar(sweep_grid(d, "vdd", vdds, "pixel_rate", rates));
+  const ColumnarGrid compiled =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  expect_same_columns(serial.cols, compiled.cols);
+  // Repeating the sweep recomputes the same bits.
+  expect_same_columns(
+      compiled.cols,
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates).cols);
 }
 
 // --- concurrency: one plan, many instances ----------------------------------
@@ -309,11 +296,11 @@ TEST(PlanConcurrency, EngineSweepsRunConcurrentlyOverSharedPlan) {
   const Design d = studies::make_luminance_impl2(lib());
   const auto vdds = linspace(1.0, 3.0, 8);
   const auto rates = linspace(1e6, 4e6, 8);
-  const auto grid = engine.sweep_grid(d, "vdd", vdds, "pixel_rate", rates);
-  ASSERT_EQ(grid.results.size(), 8u);
+  const auto grid =
+      engine.sweep_grid_columnar(d, "vdd", vdds, "pixel_rate", rates);
+  ASSERT_EQ(grid.cols.size(), 64u);
   // Spot-check separability of the CMOS power law on the compiled path.
-  const double base = grid.results[0][0].total.total_power().si();
-  EXPECT_GT(base, 0.0);
+  EXPECT_GT(grid.cols.power_w[0], 0.0);
 }
 
 }  // namespace

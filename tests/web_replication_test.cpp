@@ -207,6 +207,54 @@ TEST(Replication, PromoteEndpointFlipsRoleWithFreshEpoch) {
   EXPECT_EQ(follower_app.handle(post).status, 200);
 }
 
+TEST(Replication, WaitForSeqReturnsOnlyAfterStatsArePublished) {
+  // wait_for_seq must not return before the apply thread publishes the
+  // position it waited for: a stats() read right after it, under a
+  // steady stream of commits, always sees a synced cursor at or past
+  // the awaited seq and the records applied to reach it.
+  TempDir primary_dir;
+  TempDir follower_dir;
+  PowerPlayApp primary{library::LibraryStore(primary_dir.path)};
+  PowerPlayApp follower_app{library::LibraryStore(follower_dir.path)};
+  follower_app.set_role(PowerPlayApp::ReplRole::kFollower, "http://x");
+  auto transport = std::make_shared<FunctionTransport>(
+      [&](const Request& r) { return primary.handle(r); });
+  ReplicationFollower follower(follower_app.store(), transport,
+                               fast_options());
+  follower.start();
+  primary.store().save_model(tiny_model("seed"));
+  ASSERT_TRUE(follower.wait_for_seq(primary.store().last_seq(), 5s));
+  const ReplicationStats base = follower.stats();
+
+  constexpr int kCommits = 200;
+  std::atomic<bool> done{false};
+  std::thread committer([&] {
+    for (int i = 0; i < kCommits; ++i) {
+      primary.store().save_model(tiny_model("load_" + std::to_string(i)));
+    }
+    done.store(true);
+  });
+  while (!done.load()) {
+    const std::uint64_t seq = primary.store().last_seq();
+    ASSERT_TRUE(follower.wait_for_seq(seq, 10s));
+    const ReplicationStats now = follower.stats();
+    EXPECT_TRUE(now.synced);
+    EXPECT_GE(now.cursor_seq, seq);
+    EXPECT_GE(base.records_applied + (now.cursor_seq - base.cursor_seq),
+              now.records_applied);
+    EXPECT_GE(now.records_applied, base.records_applied +
+                                       (seq - base.cursor_seq));
+  }
+  committer.join();
+  const std::uint64_t last = primary.store().last_seq();
+  ASSERT_TRUE(follower.wait_for_seq(last, 10s));
+  const ReplicationStats end = follower.stats();
+  follower.stop();
+  EXPECT_EQ(end.cursor_seq, last);
+  EXPECT_EQ(end.records_applied, base.records_applied + kCommits);
+  EXPECT_EQ(end.gaps_detected, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance scenario: seeded chaos, primary killed mid-storm.
 // ---------------------------------------------------------------------------

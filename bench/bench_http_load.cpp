@@ -14,6 +14,12 @@
 // match exactly), then reports requests/s and p50/p99 latency per mode
 // and emits BENCH_http.json.
 //
+// A fourth section, first_view, times the server side of a visitor's
+// first look at a design: /design and /design/csv through
+// PowerPlayApp::handle in-process (no sockets), each request from a
+// fresh user so it misses the response cache and pays store load, Play
+// and render.  Reported per design as p50/p99; never gated.
+//
 //   ./bench_http_load [out.json]   full run (defaults to BENCH_http.json)
 //   ./bench_http_load --smoke      tiny run, correctness checks only
 #include <unistd.h>
@@ -27,6 +33,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "library/store.hpp"
@@ -60,6 +67,16 @@ double percentile(std::vector<double>& sorted_us, double p) {
   return sorted_us[idx];
 }
 
+const std::vector<std::string> kDesigns = {"Luminance_1", "Luminance_2",
+                                           "InfoPad_System"};
+
+sheet::Design make_design(const std::string& name,
+                          const model::ModelRegistry& lib) {
+  if (name == "Luminance_1") return studies::make_luminance_impl1(lib);
+  if (name == "Luminance_2") return studies::make_luminance_impl2(lib);
+  return studies::make_infopad(lib);
+}
+
 /// Serve the bench library on an ephemeral port.
 struct Site {
   fs::path dir;
@@ -77,8 +94,9 @@ struct Site {
     app = std::make_unique<web::PowerPlayApp>(
         library::LibraryStore(dir), engine::EngineOptions{},
         engine::JobOptions{}, app_options);
-    app->store().save_design(studies::make_luminance_impl1(app->registry()));
-    app->store().save_design(studies::make_infopad(app->registry()));
+    for (const std::string& name : kDesigns) {
+      app->store().save_design(make_design(name, app->registry()));
+    }
     web::ServerOptions options;
     options.worker_count = 4;
     server = std::make_unique<web::HttpServer>(
@@ -123,6 +141,51 @@ ModeResult time_mode(const std::string& name, int iterations,
   result.p50_us = percentile(latencies_us, 0.50);
   result.p99_us = percentile(latencies_us, 0.99);
   return result;
+}
+
+struct FirstView {
+  std::string design;
+  double page_p50_us = 0;
+  double page_p99_us = 0;
+  double csv_p50_us = 0;
+  double csv_p99_us = 0;
+};
+
+/// Uncached first views of `design`, in-process: every request comes
+/// from a user no earlier request used.
+FirstView time_first_views(web::PowerPlayApp& app, const std::string& design,
+                           int iterations) {
+  static int next_user = 0;
+  FirstView out;
+  out.design = design;
+  std::vector<double> page_us;
+  std::vector<double> csv_us;
+  for (int i = 0; i < iterations; ++i) {
+    for (const auto& [route, samples] :
+         {std::pair{"/design", &page_us}, std::pair{"/design/csv", &csv_us}}) {
+      web::Request request;
+      request.target = std::string(route) + "?user=fv" +
+                       std::to_string(next_user++) + "&name=" + design;
+      const auto t0 = Clock::now();
+      const web::Response resp = app.handle(request);
+      const double us =
+          std::chrono::duration<double, std::micro>(Clock::now() - t0)
+              .count();
+      if (resp.status != 200) {
+        std::fprintf(stderr, "first_view: %s answered %d\n",
+                     request.target.c_str(), resp.status);
+        std::exit(1);
+      }
+      samples->push_back(us);
+    }
+  }
+  std::sort(page_us.begin(), page_us.end());
+  std::sort(csv_us.begin(), csv_us.end());
+  out.page_p50_us = percentile(page_us, 0.50);
+  out.page_p99_us = percentile(page_us, 0.99);
+  out.csv_p50_us = percentile(csv_us, 0.50);
+  out.csv_p99_us = percentile(csv_us, 0.99);
+  return out;
 }
 
 }  // namespace
@@ -188,6 +251,13 @@ int main(int argc, char** argv) {
         return cached_conn.get(target);
       });
 
+  // first_view: the response-cache-on site, as served by default.
+  std::vector<FirstView> first_views;
+  for (const std::string& design : kDesigns) {
+    first_views.push_back(
+        time_first_views(*cached_site.app, design, smoke ? 3 : 300));
+  }
+
   const double speedup_keepalive = keepalive.per_second() / cold.per_second();
   const double speedup_cached = cached.per_second() / cold.per_second();
   const web::ServerStats cache_stats = cached_site.server->stats();
@@ -197,6 +267,12 @@ int main(int argc, char** argv) {
                 "p50 %7.1f us  p99 %7.1f us\n",
                 m->name.c_str(), m->requests, m->seconds, m->per_second(),
                 m->p50_us, m->p99_us);
+  }
+  for (const FirstView& fv : first_views) {
+    std::printf("first view %-15s: /design p50 %7.1f us  p99 %7.1f us   "
+                "/design/csv p50 %7.1f us  p99 %7.1f us\n",
+                fv.design.c_str(), fv.page_p50_us, fv.page_p99_us,
+                fv.csv_p50_us, fv.csv_p99_us);
   }
   std::printf("keepalive vs cold : %.2fx\n", speedup_keepalive);
   std::printf("cached    vs cold : %.2fx\n", speedup_cached);
@@ -221,7 +297,17 @@ int main(int argc, char** argv) {
        << "  \"cached_p50_us\": " << cached.p50_us << ",\n"
        << "  \"cached_p99_us\": " << cached.p99_us << ",\n"
        << "  \"speedup_keepalive_vs_cold\": " << speedup_keepalive << ",\n"
-       << "  \"speedup_cached_vs_cold\": " << speedup_cached << "\n"
+       << "  \"speedup_cached_vs_cold\": " << speedup_cached << ",\n"
+       << "  \"first_view\": {\n";
+  for (std::size_t i = 0; i < first_views.size(); ++i) {
+    const FirstView& fv = first_views[i];
+    json << "    \"" << fv.design << "\": {\"design_p50_us\": "
+         << fv.page_p50_us << ", \"design_p99_us\": " << fv.page_p99_us
+         << ", \"design_csv_p50_us\": " << fv.csv_p50_us
+         << ", \"design_csv_p99_us\": " << fv.csv_p99_us << "}"
+         << (i + 1 < first_views.size() ? ",\n" : "\n");
+  }
+  json << "  }\n"
        << "}\n";
   std::ofstream out(out_path);
   out << json.str();

@@ -116,6 +116,10 @@ void hash_design(const sheet::Design& design, Fnv1a& h, Mode mode) {
     } else {
       h.tag('M');
       h.text(row.model->name());
+      // The name alone would let a redefined model hit plans and Plays
+      // compiled against its predecessor.
+      const std::uint64_t serial = row.model->serial();
+      h.bytes(&serial, sizeof serial);
     }
   }
 }

@@ -2,8 +2,11 @@
 //
 // Two designs that Play identically must hash identically; anything Play
 // reads — global bindings (literal bits or formula source), row names,
-// models, enabled flags, row parameters, macro sub-designs, and the
-// names of design-local custom functions — feeds the hash.  Fields Play
+// models (name plus the object's process-unique Model::serial, so a
+// redefinition under the same name is a different key), enabled flags,
+// row parameters, macro sub-designs, and the names of design-local
+// custom functions — feeds the hash.  The serial makes a fingerprint
+// meaningful only within one process; nothing persists it.  Fields Play
 // never reads (descriptions, row notes) are excluded, so editing a
 // comment does not evict a cached result.
 //

@@ -17,16 +17,35 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is
+/// the classic byte-at-a-time table, and tables[k][b] is the CRC
+/// contribution of byte b followed by k zero bytes, so eight input
+/// bytes fold into the register with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+std::uint32_t load_u32le(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 [[noreturn]] void fail_errno(const std::string& what) {
@@ -36,10 +55,18 @@ std::array<std::uint32_t, 256> make_crc_table() {
 }  // namespace
 
 std::uint32_t crc32(const char* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_u32le(p);
+    const std::uint32_t hi = load_u32le(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -1,9 +1,12 @@
 #include "library/store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "library/durable.hpp"
 #include "library/textio.hpp"
@@ -29,14 +32,31 @@ constexpr KindLayout kKinds[] = {
     {"user", "users", ".ppuser"},
 };
 
+/// The whole file.  Plain read(2) into a buffer sized by fstat: every
+/// design load reads and verifies its file (and its macros' files), so
+/// this sits on the page-serving path.
 std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw FormatError("cannot read file: " + path.string());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw FormatError("cannot read file: " + path.string());
+  struct stat st {};
+  const std::size_t size =
+      ::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) : 0;
+  std::string out(size + 1, '\0');  // the spare byte notices growth
+  std::size_t got = 0;
+  for (;;) {
+    if (got == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      throw FormatError("cannot read file: " + path.string());
+    }
+    got += static_cast<std::size_t>(n);
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  ::close(fd);
+  out.resize(got);
+  return out;
 }
 
 std::vector<std::string> list_stems(const fs::path& dir,
@@ -172,7 +192,8 @@ LibraryStore::LibraryStore(fs::path root, StoreOptions options)
       options_(options),
       counters_(std::make_unique<Counters>()),
       signal_(std::make_unique<CommitSignal>()),
-      commit_mutex_(std::make_unique<std::mutex>()) {
+      commit_mutex_(std::make_unique<std::mutex>()),
+      parsed_(std::make_unique<ParsedCache>()) {
   fs::create_directories(root_ / "models");
   fs::create_directories(root_ / "designs");
   fs::create_directories(root_ / "users");
@@ -616,21 +637,81 @@ std::shared_ptr<const sheet::Design> LibraryStore::load_design_rec(
   }
   const fs::path path = design_path(name);
   if (!fs::exists(path)) {
+    forget_parse(name);
     throw FormatError("no stored design named '" + name + "'");
   }
-  const auto text = read_verified(path);
+  auto text = read_verified(path);
   if (!text) {
+    forget_parse(name);
     throw FormatError("stored design '" + name +
                       "' was corrupt and has been quarantined");
   }
   in_flight.push_back(name);
-  sheet::Design d = parse_design(
-      *text, lib,
-      [&](const std::string& ref) {
-        return load_design_rec(ref, lib, in_flight);
-      });
+  const DesignResolver resolve = [&](const std::string& ref) {
+    return load_design_rec(ref, lib, in_flight);
+  };
+  auto design = cached_parse(name, *text, lib, resolve);
+  if (design == nullptr) {
+    ParsedDesign fresh;
+    fresh.contents = std::move(*text);
+    fresh.registry = &lib;
+    fresh.generation = lib.generation();
+    sheet::Design parsed =
+        parse_design(fresh.contents, lib, [&](const std::string& ref) {
+          auto sub = resolve(ref);
+          fresh.macros.emplace_back(ref, sub);
+          return sub;
+        });
+    fresh.design = std::make_shared<const sheet::Design>(std::move(parsed));
+    design = remember_parse(name, std::move(fresh));
+  }
   in_flight.pop_back();
-  return std::make_shared<const sheet::Design>(std::move(d));
+  return design;
+}
+
+std::shared_ptr<const sheet::Design> LibraryStore::cached_parse(
+    const std::string& name, const std::string& contents,
+    const model::ModelRegistry& lib, const DesignResolver& resolve) const {
+  std::vector<std::pair<std::string, std::shared_ptr<const sheet::Design>>>
+      macros;
+  std::shared_ptr<const sheet::Design> design;
+  {
+    std::lock_guard lock(parsed_->mutex);
+    const auto it = parsed_->entries.find(name);
+    if (it == parsed_->entries.end()) return nullptr;
+    const ParsedDesign& entry = it->second;
+    if (entry.registry != &lib || entry.generation != lib.generation() ||
+        entry.contents != contents) {
+      return nullptr;
+    }
+    macros = entry.macros;
+    design = entry.design;
+  }
+  // A macro is current iff loading it now yields the very Design this
+  // parse embedded; the recursion re-verifies its bytes the same way.
+  for (const auto& [ref, sub] : macros) {
+    if (resolve(ref) != sub) return nullptr;
+  }
+  return design;
+}
+
+std::shared_ptr<const sheet::Design> LibraryStore::remember_parse(
+    const std::string& name, ParsedDesign fresh) const {
+  std::lock_guard lock(parsed_->mutex);
+  auto [it, inserted] = parsed_->entries.try_emplace(name);
+  ParsedDesign& entry = it->second;
+  if (!inserted && entry.registry == fresh.registry &&
+      entry.generation == fresh.generation &&
+      entry.contents == fresh.contents && entry.macros == fresh.macros) {
+    return entry.design;
+  }
+  entry = std::move(fresh);
+  return entry.design;
+}
+
+void LibraryStore::forget_parse(const std::string& name) const {
+  std::lock_guard lock(parsed_->mutex);
+  parsed_->entries.erase(name);
 }
 
 std::vector<std::string> LibraryStore::list_designs() const {

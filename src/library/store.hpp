@@ -34,6 +34,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "library/journal.hpp"
@@ -120,6 +122,15 @@ class LibraryStore {
   void save_design(const sheet::Design& design);
   /// Load by name, resolving macro references recursively from this
   /// store.  Throws FormatError on missing designs or reference cycles.
+  ///
+  /// Every call reads and checksum-verifies the file (a corrupt one is
+  /// quarantined and the load throws), but the parse is cached: when
+  /// the verified bytes, the registry and its generation, and every
+  /// macro reference (re-loaded recursively the same way) all match
+  /// the last parse of this name, that parse's Design is returned
+  /// again.  Commits, replicated records and snapshot installs change
+  /// the bytes, so no invalidation hook is needed.  The result is
+  /// shared and immutable; copy it to edit.
   [[nodiscard]] std::shared_ptr<const sheet::Design> load_design(
       const std::string& name, const model::ModelRegistry& lib) const;
   [[nodiscard]] std::vector<std::string> list_designs() const;
@@ -258,6 +269,34 @@ class LibraryStore {
       const std::string& name, const model::ModelRegistry& lib,
       std::vector<std::string>& in_flight) const;
 
+  /// One design's last parse and everything it was parsed from.
+  struct ParsedDesign {
+    std::string contents;  ///< the verified file bytes
+    const model::ModelRegistry* registry = nullptr;
+    std::uint64_t generation = 0;  ///< registry->generation() at parse
+    /// Each macro reference and the Design it resolved to.
+    std::vector<std::pair<std::string, std::shared_ptr<const sheet::Design>>>
+        macros;
+    std::shared_ptr<const sheet::Design> design;
+  };
+  /// Heap-held (like the counters) so the store stays movable.
+  struct ParsedCache {
+    std::mutex mutex;
+    std::unordered_map<std::string, ParsedDesign> entries;
+  };
+  /// The cached parse of `name` if it is still current for `contents`
+  /// and `lib` (macro references are re-resolved through `resolve`);
+  /// nullptr otherwise.
+  [[nodiscard]] std::shared_ptr<const sheet::Design> cached_parse(
+      const std::string& name, const std::string& contents,
+      const model::ModelRegistry& lib, const DesignResolver& resolve) const;
+  /// Store a fresh parse and return the Design callers should share:
+  /// when a concurrent load already stored an identical parse, that
+  /// one, so every loader of unchanged bytes gets the same pointer.
+  std::shared_ptr<const sheet::Design> remember_parse(
+      const std::string& name, ParsedDesign fresh) const;
+  void forget_parse(const std::string& name) const;
+
   /// Wakes long-poll waiters whenever the journal position moves.
   /// Heap-held (like the counters) so the store stays movable.
   struct CommitSignal {
@@ -278,6 +317,7 @@ class LibraryStore {
   /// truncates would hold that record's only durable copy.  Heap-held
   /// so the store stays movable.  Also guards repl_cursor_.
   std::unique_ptr<std::mutex> commit_mutex_;
+  std::unique_ptr<ParsedCache> parsed_;
   ReplCursor repl_cursor_;
   bool repl_cursor_dirty_ = false;
 };

@@ -1,6 +1,8 @@
 #include "library/textio.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -146,12 +148,28 @@ std::string quoted(const std::string& s) {
 }
 
 std::string number_text(double v) {
+  // The shortest %.<p>g that reads back exactly.  No p below the digit
+  // count of the shortest round-trip form can (that form would not be
+  // shortest), so the search starts there and usually stops at its
+  // first step.  std::to_chars(general, p) writes exactly what
+  // printf's %.<p>g does, and from_chars reads like strtod.
   char buf[48];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  const auto shortest =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific);
+  const char* first = buf;
+  const char* last = shortest.ptr;
+  const int digits = static_cast<int>(
+      std::count_if(first, std::find(first, last, 'e'),
+                    [](char c) { return c >= '0' && c <= '9'; }));
+  for (int prec = std::max(digits, 1); prec <= 17; ++prec) {
+    last = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                         prec)
+               .ptr;
+    double back = 0;
+    std::from_chars(first, last, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(first, last);
 }
 
 }  // namespace powerplay::library

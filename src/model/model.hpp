@@ -7,6 +7,8 @@
 // specs with defaults), and maps resolved parameters to an EQ 1 Estimate.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +43,8 @@ class Model {
       : name_(std::move(name)),
         category_(category),
         documentation_(std::move(documentation)),
-        params_(std::move(params)) {}
+        params_(std::move(params)),
+        serial_(next_serial()) {}
   virtual ~Model() = default;
 
   Model(const Model&) = delete;
@@ -49,6 +52,12 @@ class Model {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Category category() const { return category_; }
+
+  /// Process-unique identity of this model object, never reused.  Two
+  /// definitions under one name (a user model redefined through the
+  /// web form) have different serials, so caches keyed by a design's
+  /// fingerprint (engine/fingerprint.hpp) cannot confuse them.
+  [[nodiscard]] std::uint64_t serial() const { return serial_; }
 
   /// Prose shown on the model's documentation page: which paper equation
   /// it implements, assumptions, characterization provenance.
@@ -92,10 +101,16 @@ class Model {
   [[nodiscard]] OperatingPoint operating_point(const ParamReader& p) const;
 
  private:
+  static std::uint64_t next_serial() {
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+
   std::string name_;
   Category category_;
   std::string documentation_;
   std::vector<ParamSpec> params_;
+  std::uint64_t serial_;
 };
 
 using ModelPtr = std::shared_ptr<const Model>;

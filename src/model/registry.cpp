@@ -1,8 +1,15 @@
 #include "model/registry.hpp"
 
+#include <atomic>
+
 #include "expr/ast.hpp"
 
 namespace powerplay::model {
+
+void ModelRegistry::bump_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  generation_ = counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 void ModelRegistry::add(ModelPtr model) {
   const std::string& name = model->name();
@@ -10,10 +17,12 @@ void ModelRegistry::add(ModelPtr model) {
     throw expr::ExprError("model '" + name + "' already exists in library");
   }
   models_.emplace(name, std::move(model));
+  bump_generation();
 }
 
 void ModelRegistry::add_or_replace(ModelPtr model) {
   models_[model->name()] = std::move(model);
+  bump_generation();
 }
 
 bool ModelRegistry::contains(const std::string& name) const {

@@ -7,6 +7,7 @@
 // persistence; src/web/remote.hpp adds fetching entries from other sites.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,8 +41,19 @@ class ModelRegistry {
   [[nodiscard]] std::vector<const Model*> by_category(Category c) const;
   [[nodiscard]] std::size_t size() const { return models_.size(); }
 
+  /// Changes on every add()/add_or_replace().  Values are drawn from
+  /// one process-wide counter, so two registries (say, one destroyed
+  /// and another built at its address) never share a generation unless
+  /// one is an unmodified copy of the other.  Anything parsed against
+  /// this registry is current while the generation is unchanged
+  /// (library::LibraryStore's parsed-design cache relies on it).
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
  private:
+  void bump_generation();
+
   std::map<std::string, ModelPtr> models_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace powerplay::model

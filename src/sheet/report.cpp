@@ -1,6 +1,6 @@
 #include "sheet/report.hpp"
 
-#include <iomanip>
+#include <charconv>
 #include <sstream>
 
 namespace powerplay::sheet {
@@ -10,14 +10,29 @@ namespace {
 using units::format_area;
 using units::format_si;
 
+/// Append `v` as printf's %.<precision>g writes it, which is also what
+/// an ostream set to setprecision(precision) writes for a double.
+void append_number(std::string& out, double v, int precision) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, precision);
+  out.append(buf, end.ptr);
+}
+
+void append_params(const RowResult& row, std::string& out) {
+  bool first = true;
+  for (const auto& [name, value] : row.shown_params) {
+    if (!first) out += ", ";
+    first = false;
+    out += name;
+    out += '=';
+    append_number(out, value, 6);
+  }
+}
+
 std::string params_text(const RowResult& row) {
   std::string out;
-  for (const auto& [name, value] : row.shown_params) {
-    if (!out.empty()) out += ", ";
-    std::ostringstream v;
-    v << std::setprecision(6) << value;
-    out += name + "=" + v.str();
-  }
+  append_params(row, out);
   return out;
 }
 
@@ -128,21 +143,30 @@ std::string to_table(const PlayResult& result, const ReportOptions& opt) {
 }
 
 std::string to_csv(const PlayResult& result) {
-  std::ostringstream os;
-  os << "row,model,power_w,energy_per_op_j,csw_f,area_m2,params\n";
-  os << std::setprecision(9);
+  std::string out;
+  out.reserve(128 * (result.rows.size() + 2));
+  out += "row,model,power_w,energy_per_op_j,csw_f,area_m2,params\n";
   auto emit = [&](const std::string& name, const std::string& model_name,
-                  const model::Estimate& e, const std::string& params) {
-    os << '"' << name << "\"," << '"' << model_name << "\","
-       << e.total_power().si() << ',' << e.energy_per_op.si() << ','
-       << e.switched_capacitance.si() << ',' << e.area.si() << ",\""
-       << params << "\"\n";
+                  const model::Estimate& e, const RowResult* params) {
+    out += '"';
+    out += name;
+    out += "\",\"";
+    out += model_name;
+    out += "\",";
+    for (const double v : {e.total_power().si(), e.energy_per_op.si(),
+                           e.switched_capacitance.si(), e.area.si()}) {
+      append_number(out, v, 9);
+      out += ',';
+    }
+    out += '"';
+    if (params != nullptr) append_params(*params, out);
+    out += "\"\n";
   };
   for (const RowResult& row : result.rows) {
-    emit(row.name, row.model_name, row.estimate, params_text(row));
+    emit(row.name, row.model_name, row.estimate, &row);
   }
-  emit("TOTAL", "", result.total, "");
-  return os.str();
+  emit("TOTAL", "", result.total, nullptr);
+  return out;
 }
 
 std::string to_breakdown(const RowResult& row) {

@@ -333,7 +333,9 @@ Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
   const Target target = request.parsed_target();
   const std::string key = target.path + '?' + to_query(q);
   const std::uint64_t revision = store_.revision();
-  const std::uint64_t model_rev = model_revision_.load();
+  // Model (re)definitions change registry-backed pages (/model, /doc,
+  // /api/*) without a design commit; they all bump the generation.
+  const std::uint64_t model_rev = registry_.generation();
 
   if (auto entry = cache_->find(key);
       entry.has_value() && entry->model_revision == model_rev) {
@@ -341,6 +343,7 @@ Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
     if (!current && !entry->design.empty()) {
       // Some commit happened, but perhaps not to this page's design:
       // compare content fingerprints before paying for a re-render.
+      // The reload is a verified file read and a parsed-cache hit.
       try {
         if (store_.has_design(entry->design)) {
           const auto design = store_.load_design(entry->design, registry_);
@@ -538,7 +541,6 @@ FederatedLibrary& PowerPlayApp::enable_federation(FederationOptions options) {
       store_.save_model(def);
     }
     registry_.add_or_replace(std::make_shared<model::UserModel>(def));
-    model_revision_.fetch_add(1);
   });
   return *federation_;
 }
@@ -959,7 +961,7 @@ Response PowerPlayApp::do_design_add(const Params& q) {
   return render_design(user, design_name, "added row '" + row_name + "'");
 }
 
-Response PowerPlayApp::page_design(const Params& q) const {
+Response PowerPlayApp::page_design(const Params& q) {
   const std::string user = need(q, "user");
   const std::string name = need(q, "name");
   return render_design(user, name);
@@ -967,7 +969,7 @@ Response PowerPlayApp::page_design(const Params& q) const {
 
 Response PowerPlayApp::render_design(const std::string& user,
                                      const std::string& design_name,
-                                     const std::string& message) const {
+                                     const std::string& message) {
   library::validate_store_name(design_name);
   if (!store_.has_design(design_name)) {
     HtmlPage page("Design: " + design_name);
@@ -976,7 +978,8 @@ Response PowerPlayApp::render_design(const std::string& user,
     return Response::ok_html(page.str());
   }
   const auto design = store_.load_design(design_name, registry_);
-  const sheet::PlayResult result = design->play();
+  const auto played = engine_.play(*design);
+  const sheet::PlayResult& result = *played;
 
   HtmlPage page(design_name + " summary");
   if (!message.empty()) page.paragraph("[" + message + "]");
@@ -1364,14 +1367,13 @@ Response PowerPlayApp::do_design_explore(const Params& q) {
           explore::fit_surrogate(engine_, snapshot, spec, progress);
       // Validate by construction, then commit to the shared library
       // exactly like POST /newmodel: journaled save (so the model
-      // survives reopen and replicates to followers), registry swap,
-      // revision bump so cached pages re-render.
+      // survives reopen and replicates to followers), registry swap
+      // (a new generation, so cached pages re-render).
       auto surrogate = std::make_shared<model::UserModel>(fit.definition);
       {
         std::unique_lock lib(library_mutex_);
         store_.save_model(fit.definition, false);
         registry_.add_or_replace(std::move(surrogate));
-        model_revision_.fetch_add(1);
       }
       surrogate_fits_total_.fetch_add(1);
       return engine::JobResult{explore::fit_table(fit),
@@ -1629,11 +1631,10 @@ Response PowerPlayApp::do_new_model(const Params& q) {
   auto user_model = std::make_shared<model::UserModel>(def);
   const bool proprietary = get_or(q, "proprietary", "0") == "1";
   store_.save_model(def, proprietary);
+  // A new registry generation: cached pages rendered against the old
+  // definition stop matching, and designs using it re-parse onto the
+  // new model (whose serial changes their fingerprints).
   registry_.add_or_replace(std::move(user_model));
-  // A redefinition changes Play results without changing any design's
-  // fingerprint; bump the registry generation so cached pages rendered
-  // against the old definition can't revalidate.
-  model_revision_.fetch_add(1);
 
   HtmlPage page("Model created");
   page.paragraph("Model '" + def.name + "' is now in the shared library" +
@@ -1698,7 +1699,7 @@ Response PowerPlayApp::page_agent(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::design_csv(const Params& q) const {
+Response PowerPlayApp::design_csv(const Params& q) {
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
@@ -1707,7 +1708,7 @@ Response PowerPlayApp::design_csv(const Params& q) const {
   const auto design = store_.load_design(name, registry_);
   Response r;
   r.content_type = "text/csv";
-  r.body = sheet::to_csv(design->play());
+  r.body = sheet::to_csv(*engine_.play(*design));
   return r;
 }
 

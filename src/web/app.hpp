@@ -173,7 +173,7 @@ class PowerPlayApp {
   Response page_library(const Params& q) const;
   Response page_model(const Params& q) const;
   Response do_design_add(const Params& q);
-  Response page_design(const Params& q) const;
+  Response page_design(const Params& q);
   Response do_design_play(const Params& q);
   Response do_design_setrow(const Params& q);
   Response do_design_sweep(const Params& q);
@@ -187,7 +187,7 @@ class PowerPlayApp {
   Response page_agent(const Params& q) const;
   Response do_set_password(const Params& q);
   Response page_help(const Params& q) const;
-  Response design_csv(const Params& q) const;
+  Response design_csv(const Params& q);
 
   Response api_models() const;
   Response api_model(const Params& q) const;
@@ -210,9 +210,11 @@ class PowerPlayApp {
   library::UserProfile authorized_user(const Params& q);
 
   /// Render a design's spreadsheet page (shared by several handlers).
+  /// Plays through engine_.play, like design_csv: an unchanged design
+  /// costs a fingerprint and a memo hit, not an evaluation.
   Response render_design(const std::string& user,
                          const std::string& design_name,
-                         const std::string& message = {}) const;
+                         const std::string& message = {});
 
   Response dispatch(const std::string& path, const std::string& method,
                     const Params& q);
@@ -253,11 +255,9 @@ class PowerPlayApp {
   engine::JobManager jobs_;
 
   /// Rendered-GET cache (null when AppOptions::response_cache is off).
+  /// Entries key on registry_.generation() as well as the store
+  /// revision; registry_ changes only under the exclusive library lock.
   std::unique_ptr<ResponseCache> cache_;
-  /// Registry generation: bumped when a model definition is (re)saved.
-  /// A redefinition changes Play results without changing any design's
-  /// fingerprint, so cached design pages must key on this too.
-  std::atomic<std::uint64_t> model_revision_{1};
 
   // Exploration counters for /healthz.  surrogate_hits_total_ is bumped
   // from const page handlers, hence mutable.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/job.hpp"
+#include "model/user_model.hpp"
 #include "models/berkeley_library.hpp"
 #include "studies/vq.hpp"
 
@@ -115,6 +116,36 @@ TEST(Fingerprint, SensitiveToEverythingPlayReads) {
   sheet::Design r = adder_design();
   r.remove_row("B");
   EXPECT_NE(fingerprint(r), base);
+}
+
+TEST(Fingerprint, RedefinedModelOfTheSameNameIsANewKey) {
+  model::UserModelDefinition def;
+  def.name = "m";
+  def.params = {{"bits", "width", 8, "bits", 1, 64, true}};
+  def.c_fullswing = "bits * 1e-12";
+  const auto design_with = [](model::ModelPtr m) {
+    sheet::Design d("d");
+    d.globals().set("vdd", 1.0);
+    d.globals().set("f", 1e6);
+    d.add_row("r", std::move(m));
+    return d;
+  };
+  const sheet::Design before =
+      design_with(std::make_shared<model::UserModel>(def));
+  def.c_fullswing = "bits * 5e-12";
+  const sheet::Design after =
+      design_with(std::make_shared<model::UserModel>(def));
+  EXPECT_NE(fingerprint(before), fingerprint(after));
+  EXPECT_NE(structure_fingerprint(before), structure_fingerprint(after));
+
+  // Neither the plan cache nor the Play memo hands the old model's
+  // numbers to the redefinition.
+  EvalEngine engine;
+  const double old_power = engine.play(before)->total.total_power().si();
+  EXPECT_NE(engine.plan_for(after), engine.plan_for(before));
+  const double new_power = engine.play(after)->total.total_power().si();
+  EXPECT_EQ(new_power, after.play().total.total_power().si());
+  EXPECT_NE(new_power, old_power);
 }
 
 TEST(Fingerprint, HexRendering) {

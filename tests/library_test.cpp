@@ -4,10 +4,22 @@
 #include "library/store.hpp"
 #include "library/textio.hpp"
 
+#include <atomic>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <iomanip>
+#include <limits>
+#include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "model/user_model.hpp"
 #include "models/berkeley_library.hpp"
 #include "studies/infopad.hpp"
 #include "studies/vq.hpp"
@@ -78,6 +90,136 @@ TEST(TextIo, NumberTextRoundTrips) {
   for (double v : {1.0, 0.1, 253e-15, 1.0 / 3.0, -2.5e6, 1e300}) {
     EXPECT_DOUBLE_EQ(std::stod(number_text(v)), v) << v;
   }
+}
+
+// --- number rendering differential -------------------------------------------
+
+/// SplitMix64: a seeded, dependency-free stream for the corpus below.
+struct SplitMix64 {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+};
+
+/// Over a million doubles: raw bit patterns (every class, NaN payloads
+/// and subnormals included), short decimals as a user would type them,
+/// ratios of small integers, and the special values and powers of two.
+const std::vector<double>& number_corpus() {
+  static const std::vector<double> corpus = [] {
+    std::vector<double> out;
+    SplitMix64 rng{20240613};
+    for (int i = 0; i < 50000; ++i) {
+      const std::uint64_t bits = rng.next();
+      double v;
+      std::memcpy(&v, &bits, sizeof v);
+      out.push_back(v);
+    }
+    for (int i = 0; i < 2000; ++i) {  // subnormals: exponent field zero
+      const std::uint64_t bits = rng.next() & 0x800fffffffffffffull;
+      double v;
+      std::memcpy(&v, &bits, sizeof v);
+      out.push_back(v);
+    }
+    char text[64];
+    for (int i = 0; i < 850000; ++i) {
+      const int digits = 1 + static_cast<int>(rng.next() % 17);
+      std::uint64_t mantissa = rng.next() % 100000000000000000ull;
+      for (int d = digits; d < 17; ++d) mantissa /= 10;
+      const int exponent = static_cast<int>(rng.next() % 80) - 40;
+      std::snprintf(text, sizeof text, "%s%llue%d",
+                    rng.next() % 2 ? "-" : "",
+                    static_cast<unsigned long long>(mantissa), exponent);
+      out.push_back(std::strtod(text, nullptr));
+    }
+    for (int i = 0; i < 100000; ++i) {
+      out.push_back(static_cast<double>(rng.next() % 100000) /
+                    static_cast<double>(1 + rng.next() % 1000));
+    }
+    using limits = std::numeric_limits<double>;
+    for (double v : {0.0, -0.0, limits::infinity(), -limits::infinity(),
+                     limits::quiet_NaN(), -limits::quiet_NaN(),
+                     limits::denorm_min(), -limits::denorm_min(),
+                     limits::min(), limits::max(), limits::lowest(),
+                     limits::epsilon()}) {
+      out.push_back(v);
+    }
+    for (int e = -1074; e <= 1023; ++e) {
+      out.push_back(std::ldexp(1.0, e));
+      out.push_back(-std::ldexp(1.0, e));
+    }
+    return out;
+  }();
+  return corpus;
+}
+
+/// number_text as it was first written: try every precision from 1.
+std::string number_text_full_search(double v) {
+  char buf[48];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(NumberFormat, NumberTextMatchesFullPrecisionSearch) {
+  const auto& corpus = number_corpus();
+  ASSERT_GE(corpus.size(), 1000000u);
+  // The full search costs up to 17 printf/strtod rounds per value, so
+  // the corpus is split over a few threads; each keeps its first
+  // mismatch for the report.
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::string> first(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < corpus.size(); i += kThreads) {
+        const double v = corpus[i];
+        const std::string want = number_text_full_search(v);
+        const std::string got = number_text(v);
+        if (got == want) continue;
+        mismatches.fetch_add(1);
+        if (first[t].empty()) {
+          std::ostringstream os;
+          os << std::hexfloat << v << ": " << got << " vs " << want;
+          first[t] = os.str();
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (const std::string& m : first) {
+    if (!m.empty()) ADD_FAILURE() << m;
+  }
+}
+
+// The CSV and parameter renderers (sheet/report.cpp) write numbers with
+// std::to_chars(general, precision) in place of an ostream carrying
+// setprecision(precision); the two must agree digit for digit.
+TEST(NumberFormat, ToCharsGeneralMatchesOstreamPrecision) {
+  std::ostringstream os;
+  std::size_t mismatches = 0;
+  char buf[64];
+  for (double v : number_corpus()) {
+    for (int precision : {9, 6}) {
+      os.str("");
+      os << std::setprecision(precision) << v;
+      const auto end = std::to_chars(buf, buf + sizeof buf, v,
+                                     std::chars_format::general, precision);
+      const std::string got(buf, end.ptr);
+      if (got != os.str() && ++mismatches <= 5) {
+        ADD_FAILURE() << std::hexfloat << v << " at " << precision << ": "
+                      << got << " vs " << os.str();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(TextIo, CursorTypedAccess) {
@@ -358,6 +500,132 @@ TEST(Store, StudyDesignsRoundTripThroughStore) {
   auto back = store.load_design("InfoPad_System", lib());
   EXPECT_NEAR(back->play().total.total_power().si(),
               pad.play().total.total_power().si(), 1e-9);
+}
+
+// --- parsed-design cache --------------------------------------------------------
+
+/// A one-row design over `lib`'s register model.
+sheet::Design register_design(const std::string& name,
+                              const model::ModelRegistry& registry,
+                              double bits) {
+  sheet::Design d(name);
+  d.globals().set("vdd", 1.5);
+  d.globals().set("f", 1e6);
+  d.add_row("r", registry.find_shared("register")).params.set("bits", bits);
+  return d;
+}
+
+TEST(ParsedCache, UnchangedDesignLoadsToTheSamePointer) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  const auto first = store.load_design("InfoPad_System", lib());
+  const auto again = store.load_design("InfoPad_System", lib());
+  EXPECT_EQ(first, again);
+  // An unrelated commit changes nothing this design was parsed from.
+  store.save_design(register_design("other", lib(), 4));
+  EXPECT_EQ(store.load_design("InfoPad_System", lib()), first);
+}
+
+TEST(ParsedCache, ResavingAMacroInvalidatesItsParent) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  auto sub = std::make_shared<sheet::Design>(
+      register_design("sub_design", lib(), 8));
+  sheet::Design top("top_design");
+  top.globals().set("vdd", 1.5);
+  top.add_macro("M", sub);
+  store.save_design(top);
+  const auto before = store.load_design("top_design", lib());
+
+  store.save_design(register_design("sub_design", lib(), 32));
+  const auto after = store.load_design("top_design", lib());
+  ASSERT_NE(after, before);
+  EXPECT_EQ(after->rows()[0].macro, store.load_design("sub_design", lib()));
+  const auto bits = after->rows()[0].macro->rows()[0].params.lookup("bits");
+  ASSERT_TRUE(bits.has_value());
+  EXPECT_EQ(std::get<double>(*bits->binding), 32.0);
+  EXPECT_GT(after->play().total.total_power().si(),
+            before->play().total.total_power().si());
+  // Re-saving identical bytes keeps every parse.
+  store.save_design(register_design("sub_design", lib(), 32));
+  EXPECT_EQ(store.load_design("top_design", lib()), after);
+}
+
+TEST(ParsedCache, RegistryChangesInvalidate) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  model::ModelRegistry registry = models::berkeley_library();
+  const auto define = [&](const std::string& c_fullswing) {
+    model::UserModelDefinition def;
+    def.name = "mymod";
+    def.params = {{"bits", "width", 8, "bits", 1, 64, true}};
+    def.c_fullswing = c_fullswing;
+    registry.add_or_replace(std::make_shared<model::UserModel>(def));
+  };
+  define("bits * 1e-12");
+  sheet::Design d("uses_mymod");
+  d.globals().set("vdd", 1.0);
+  d.globals().set("f", 1e6);
+  d.add_row("m", registry.find_shared("mymod"));
+  store.save_design(d);
+  const auto first = store.load_design("uses_mymod", registry);
+  EXPECT_EQ(store.load_design("uses_mymod", registry), first);
+
+  define("bits * 5e-12");
+  const auto redefined = store.load_design("uses_mymod", registry);
+  ASSERT_NE(redefined, first);
+  EXPECT_EQ(redefined->rows()[0].model, registry.find_shared("mymod"));
+  EXPECT_DOUBLE_EQ(redefined->play().total.total_power().si(),
+                   5 * first->play().total.total_power().si());
+
+  // Another registry never shares a parse, even with equal contents.
+  const model::ModelRegistry copy = registry;
+  EXPECT_NE(store.load_design("uses_mymod", copy), redefined);
+}
+
+TEST(ParsedCache, EditingACopyNeverLeaksIntoTheNextLoad) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_luminance_impl2(lib()));
+  const auto loaded = store.load_design("Luminance_2", lib());
+  const std::string text = to_text(*loaded);
+  const double power = loaded->play().total.total_power().si();
+
+  sheet::Design copy(*loaded);
+  copy.globals().set("vdd", 3.3);
+  copy.globals().set_formula("pixel_rate", "vdd * 1e6");
+  copy.rows()[0].params.set("bits", 64.0);
+  copy.rows()[1].enabled = false;
+  copy.remove_row("Word Mux");
+  copy.add_row("Extra", lib().find_shared("register"));
+
+  const auto next = store.load_design("Luminance_2", lib());
+  EXPECT_EQ(next, loaded);
+  EXPECT_EQ(to_text(*next), text);
+  EXPECT_EQ(next->play().total.total_power().si(), power);
+}
+
+TEST(ParsedCache, ConcurrentLoadsShareOnePointer) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(studies::make_infopad(lib()));
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const sheet::Design>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      got[static_cast<std::size_t>(t)] =
+          store.load_design("InfoPad_System", lib());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const auto& design : got) EXPECT_EQ(design, got[0]);
+  EXPECT_EQ(store.load_design("InfoPad_System", lib()), got[0]);
 }
 
 }  // namespace

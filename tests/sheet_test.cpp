@@ -6,6 +6,13 @@
 #include "sheet/report.hpp"
 #include "sheet/sweep.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "model/user_model.hpp"
@@ -738,6 +745,85 @@ TEST(Plan, UnboundSlotLookupsReturnNullopt) {
   EXPECT_FALSE(plan->row_param_slot("A", "nope").has_value());
   EXPECT_FALSE(plan->row_param_slot("missing", "bitwidth").has_value());
   EXPECT_TRUE(plan->row_param_slot("A", "bitwidth").has_value());
+}
+
+/// to_csv as it was first written, over an ostream with
+/// setprecision(9) (and setprecision(6) for the parameter column).
+std::string to_csv_via_ostream(const PlayResult& result) {
+  const auto params = [](const RowResult& row) {
+    std::string out;
+    for (const auto& [name, value] : row.shown_params) {
+      if (!out.empty()) out += ", ";
+      std::ostringstream v;
+      v << std::setprecision(6) << value;
+      out += name + "=" + v.str();
+    }
+    return out;
+  };
+  std::ostringstream os;
+  os << "row,model,power_w,energy_per_op_j,csw_f,area_m2,params\n";
+  os << std::setprecision(9);
+  auto emit = [&](const std::string& name, const std::string& model_name,
+                  const model::Estimate& e, const std::string& p) {
+    os << '"' << name << "\"," << '"' << model_name << "\","
+       << e.total_power().si() << ',' << e.energy_per_op.si() << ','
+       << e.switched_capacitance.si() << ',' << e.area.si() << ",\"" << p
+       << "\"\n";
+  };
+  for (const RowResult& row : result.rows) {
+    emit(row.name, row.model_name, row.estimate, params(row));
+  }
+  emit("TOTAL", "", result.total, "");
+  return os.str();
+}
+
+TEST(Report, CsvMatchesTheOstreamRendering) {
+  // Seeded bit patterns: every class of double, including NaN, the
+  // infinities, zeros of both signs and subnormals.
+  std::uint64_t state = 7;
+  const auto next = [&state] {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  const auto any_double = [&] {
+    const std::uint64_t bits = next();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    // Half the draws are ordinary magnitudes, as real results are.
+    return next() % 2 ? v : std::ldexp(static_cast<double>(bits >> 11), -60);
+  };
+  const auto estimate = [&] {
+    model::Estimate e;
+    e.dynamic_power = units::Power{any_double()};
+    e.static_power = units::Power{any_double()};
+    e.energy_per_op = units::Energy{any_double()};
+    e.switched_capacitance = units::Capacitance{any_double()};
+    e.area = units::Area{any_double()};
+    return e;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    PlayResult result;
+    result.design_name = "d";
+    for (int r = 0; r < 4; ++r) {
+      RowResult row;
+      row.name = "row" + std::to_string(r);
+      row.model_name = "m";
+      row.estimate = estimate();
+      for (const char* name : {"bits", "f", "vdd"}) {
+        row.shown_params.emplace_back(name, any_double());
+      }
+      result.rows.push_back(std::move(row));
+    }
+    result.total = estimate();
+    using limits = std::numeric_limits<double>;
+    const double special[] = {0.0, -0.0, limits::infinity(),
+                              limits::quiet_NaN(), limits::denorm_min()};
+    result.rows[0].shown_params[0].second = special[trial % 5];
+    ASSERT_EQ(to_csv(result), to_csv_via_ostream(result))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "models/berkeley_library.hpp"
+
 namespace powerplay::library {
 namespace {
 
@@ -77,6 +79,43 @@ TEST(Durable, Crc32KnownVector) {
   // The IEEE 802.3 check value for "123456789".
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0u);
+}
+
+TEST(Durable, Crc32MatchesTheBytewiseDefinition) {
+  // The reference: one table lookup per byte, the textbook reflected
+  // CRC-32 (polynomial 0xEDB88320).
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  const auto bytewise = [&](const std::string& data, std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (const char ch : data) {
+      c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::uint64_t state = 99;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  for (std::size_t size = 0; size < 300; ++size) {
+    std::string data(size, '\0');
+    for (char& ch : data) ch = static_cast<char>(next());
+    const std::uint32_t seed = size % 3 == 0 ? 0 : next();
+    // Every alignment of the 8-byte stride, too.
+    for (std::size_t skip = 0; skip <= std::min<std::size_t>(size, 7);
+         ++skip) {
+      ASSERT_EQ(crc32(data.data() + skip, size - skip, seed),
+                bytewise(data.substr(skip), seed))
+          << "size " << size << " skip " << skip;
+    }
+  }
 }
 
 TEST(Durable, FooterRoundTrip) {
@@ -858,6 +897,92 @@ TEST(Fsck, ReportsFollowerCursor) {
   const FsckReport bad = fsck_store(follower_dir.path);
   EXPECT_FALSE(bad.cursor_ok);
   EXPECT_FALSE(bad.clean());
+}
+
+// --- parsed-design cache vs. durability ------------------------------------
+//
+// load_design caches parses, but every load still reads and verifies
+// the file; these cases check that nothing the durability layer does
+// to a design file can be masked by a cached parse.
+
+const model::ModelRegistry& registry() {
+  static const model::ModelRegistry lib = models::berkeley_library();
+  return lib;
+}
+
+sheet::Design one_row_design(const std::string& name, double vdd) {
+  sheet::Design d(name);
+  d.globals().set("vdd", vdd);
+  d.globals().set("f", 1e6);
+  d.add_row("r", registry().find_shared("register"));
+  return d;
+}
+
+double loaded_vdd(const LibraryStore& store, const std::string& name) {
+  const auto design = store.load_design(name, registry());
+  return std::get<double>(*design->globals().lookup("vdd")->binding);
+}
+
+TEST(ParsedCache, CorruptionAfterACachedLoadStillQuarantines) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(one_row_design("d", 1.5));
+  ASSERT_EQ(loaded_vdd(store, "d"), 1.5);  // parsed and cached
+
+  const fs::path file = tmp.path / "designs" / "d.ppdesign";
+  std::string bytes = slurp(file);
+  bytes[bytes.find("1.5")] = '7';  // bit rot inside the checksummed body
+  spew(file, bytes);
+
+  EXPECT_THROW((void)store.load_design("d", registry()), FormatError);
+  EXPECT_EQ(store.durability().quarantined_files, 1u);
+  EXPECT_FALSE(fs::exists(file));
+  bool preserved = false;
+  for (const fs::path& f : files_in(tmp.path / "quarantine")) {
+    if (slurp(f) == bytes) preserved = true;
+  }
+  EXPECT_TRUE(preserved);
+  EXPECT_THROW((void)store.load_design("d", registry()), FormatError);
+
+  store.save_design(one_row_design("d", 1.2));
+  EXPECT_EQ(loaded_vdd(store, "d"), 1.2);
+}
+
+TEST(ParsedCache, RemovedDesignIsGoneAndReSavedOneIsNew) {
+  TempDir tmp;
+  LibraryStore store(tmp.path);
+  store.save_design(one_row_design("d", 1.5));
+  ASSERT_EQ(loaded_vdd(store, "d"), 1.5);
+  ASSERT_TRUE(store.remove_design("d"));
+  EXPECT_THROW((void)store.load_design("d", registry()), FormatError);
+  store.save_design(one_row_design("d", 0.9));
+  EXPECT_EQ(loaded_vdd(store, "d"), 0.9);
+}
+
+TEST(ParsedCache, FollowerSeesReplicatedRecordsAndSnapshotInstalls) {
+  ReplPair pair;
+  pair.primary.save_design(one_row_design("d", 1.5));
+  pair.primary.save_design(one_row_design("gone", 1.5));
+  pair.bootstrap();
+  ASSERT_EQ(loaded_vdd(pair.follower, "d"), 1.5);
+  ASSERT_EQ(loaded_vdd(pair.follower, "gone"), 1.5);
+
+  // A shipped commit rewrites the follower's file.
+  pair.primary.save_design(one_row_design("d", 2.0));
+  for (const JournalRecord& record : pair.ship()) {
+    ASSERT_EQ(pair.follower.apply_replicated(record),
+              LibraryStore::ReplApply::kApplied);
+  }
+  EXPECT_EQ(loaded_vdd(pair.follower, "d"), 2.0);
+
+  // A snapshot install replaces the whole tree: changed designs reload,
+  // designs absent from the snapshot are gone.
+  pair.primary.save_design(one_row_design("d", 3.0));
+  ASSERT_TRUE(pair.primary.remove_design("gone"));
+  pair.bootstrap();
+  EXPECT_EQ(loaded_vdd(pair.follower, "d"), 3.0);
+  EXPECT_THROW((void)pair.follower.load_design("gone", registry()),
+               FormatError);
 }
 
 }  // namespace

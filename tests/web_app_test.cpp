@@ -3,10 +3,20 @@
 // plus the model-creation form and the export API.
 #include "web/app.hpp"
 
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "models/berkeley_library.hpp"
+#include "sheet/report.hpp"
+#include "sheet/sweep.hpp"
+#include "studies/infopad.hpp"
+#include "studies/vq.hpp"
 #include "web/client.hpp"
 #include "web/server.hpp"
 
@@ -363,6 +373,159 @@ TEST_F(AppFixture, PasswordRestrictedAccess) {
 TEST_F(AppFixture, PathTraversalRejected) {
   EXPECT_NE(get("/api/model?name=..%2F..%2Fetc%2Fpasswd").status, 200);
   EXPECT_NE(get("/design?user=dl&name=..%2Fx").status, 200);
+}
+
+// Redefining a model must reach every evaluation path: the compiled
+// plan behind sweep jobs and the memoized Play behind pages are keyed
+// by design fingerprints, and a redefinition leaves the design text
+// (and so the model *name* it hashes) unchanged.
+TEST_F(AppFixture, ModelRedefinitionReachesSweepsAndPages) {
+  const auto define = [&](const std::string& c_fullswing) {
+    return post("/newmodel", {{"user", "dl"},
+                              {"name", "mymod"},
+                              {"category", "computation"},
+                              {"params", "bits=8"},
+                              {"c_fullswing", c_fullswing}});
+  };
+  const auto sweep_csv = [&] {
+    const Response submit = post("/design/sweep", {{"user", "dl"},
+                                                   {"name", "d"},
+                                                   {"x_param", "vdd"},
+                                                   {"x_from", "1"},
+                                                   {"x_to", "2"},
+                                                   {"x_points", "3"}});
+    EXPECT_EQ(submit.status, 200) << submit.body;
+    const std::string id = submit.body.substr(4, submit.body.find('\n') - 4);
+    for (int i = 0; i < 500; ++i) {
+      if (get("/job?id=" + id).body.find("status: done") !=
+          std::string::npos) {
+        return get("/job?id=" + id + "&format=csv").body;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "sweep job " << id << " never finished";
+    return std::string();
+  };
+  // The reference: a registry built from scratch, so the load below
+  // shares no parse, plan or memo with the app.
+  const auto fresh_design = [&] {
+    auto lib = std::make_shared<model::ModelRegistry>(
+        models::berkeley_library());
+    app->store().load_all_models(*lib);
+    return std::make_pair(lib, app->store().load_design("d", *lib));
+  };
+
+  ASSERT_EQ(define("bits*1e-12").status, 200);
+  ASSERT_EQ(post("/design/add", {{"user", "dl"},
+                                 {"model", "mymod"},
+                                 {"design", "d"},
+                                 {"row", "m"},
+                                 {"p_f", "1000000"}})
+                .status,
+            200);
+  const std::string old_sweep = sweep_csv();
+  const std::string old_page = get("/design/csv?user=dl&name=d").body;
+
+  ASSERT_EQ(define("bits*5e-12").status, 200);
+  const auto [lib, fresh] = fresh_design();
+  const std::vector<double> values = sheet::linspace(1, 2, 3);
+  const std::string new_sweep = sweep_csv();
+  const std::string new_page = get("/design/csv?user=dl&name=d").body;
+  EXPECT_EQ(new_sweep,
+            sheet::sweep_csv("vdd", sheet::sweep_global(*fresh, "vdd", values)));
+  EXPECT_EQ(new_page, sheet::to_csv(fresh->play()));
+  EXPECT_NE(new_sweep, old_sweep);
+  EXPECT_NE(new_page, old_page);
+}
+
+// Served /design and /design/csv bodies, byte for byte, against
+// renderings committed under tests/golden/.  The HTML page names its
+// user in links and form fields; the goldens hold "{user}" there.
+// Setting POWERPLAY_WRITE_GOLDENS=1 rewrites the files from this build
+// instead of comparing (do that only on a build whose output is
+// trusted, then review the diff).
+std::vector<sheet::Design> golden_designs(const model::ModelRegistry& lib) {
+  std::vector<sheet::Design> out;
+  out.push_back(studies::make_luminance_impl1(lib));
+  out.push_back(studies::make_luminance_impl2(lib));
+  out.push_back(studies::make_infopad(lib));
+
+  sheet::Design formula("Golden_Formula", "globals bound to formulas");
+  formula.globals().set("vdd", 1.3);
+  formula.globals().set("frame_rate", 30.0);
+  formula.globals().set_formula("pixel_rate", "frame_rate * 640 * 480");
+  auto& frame = formula.add_row("Frame Buffer", lib.find_shared("sram"));
+  frame.params.set("words", 19200.0);
+  frame.params.set("bits", 16.0);
+  frame.params.set_formula("f", "pixel_rate / 16");
+  auto& out_reg = formula.add_row("Out", lib.find_shared("register"));
+  out_reg.params.set("bits", 7.0);
+  out_reg.params.set_formula("f", "pixel_rate");
+  out.push_back(std::move(formula));
+
+  // Values with long shortest forms (1/3, 0.1-style binary fractions)
+  // exercise every digit count of the number renderers.
+  sheet::Design params("Golden_RowParams", "non-default row parameters");
+  params.globals().set("vdd", 1.1);
+  auto& mem = params.add_row("Mem", lib.find_shared("sram"));
+  mem.params.set("words", 3000.0);
+  mem.params.set("bits", 12.0);
+  mem.params.set("f", 1e6 / 3.0);
+  auto& low = params.add_row("Low Reg", lib.find_shared("register"));
+  low.params.set("bits", 5.0);
+  low.params.set("vdd", 0.9);
+  low.params.set("f", 2.5e7);
+  auto& mux = params.add_row("Mux", lib.find_shared("multiplexer"));
+  mux.params.set("bits", 3.0);
+  mux.params.set("inputs", 7.0);
+  mux.params.set("f", 123456.789);
+  out.push_back(std::move(params));
+  return out;
+}
+
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+TEST_F(AppFixture, DesignPagesMatchGoldens) {
+  const fs::path golden_dir = POWERPLAY_GOLDEN_DIR;
+  const bool write = std::getenv("POWERPLAY_WRITE_GOLDENS") != nullptr;
+  for (const sheet::Design& d : golden_designs(app->registry())) {
+    app->store().save_design(d);
+  }
+  for (const sheet::Design& d : golden_designs(app->registry())) {
+    const std::string& name = d.name();
+    // Two users: the first view parses and Plays, the second reuses
+    // whatever the first left behind; both must serve the same bytes.
+    for (const std::string user : {"golden_user", "golden_again"}) {
+      const Response page = get("/design?user=" + user + "&name=" + name);
+      const Response csv = get("/design/csv?user=" + user + "&name=" + name);
+      ASSERT_EQ(page.status, 200) << name;
+      ASSERT_EQ(csv.status, 200) << name;
+      const std::string html = replace_all(page.body, user, "{user}");
+      const fs::path html_path = golden_dir / (name + ".html");
+      const fs::path csv_path = golden_dir / (name + ".csv");
+      if (write) {
+        std::ofstream(html_path, std::ios::binary) << html;
+        std::ofstream(csv_path, std::ios::binary) << csv.body;
+        continue;
+      }
+      const auto slurp = [](const fs::path& path) {
+        std::ifstream in(path, std::ios::binary);
+        EXPECT_TRUE(in.good()) << "missing golden " << path;
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+      };
+      EXPECT_EQ(html, slurp(html_path)) << name << " as " << user;
+      EXPECT_EQ(csv.body, slurp(csv_path)) << name << " as " << user;
+    }
+  }
 }
 
 }  // namespace

@@ -17,8 +17,11 @@
 // A fourth section, first_view, times the server side of a visitor's
 // first look at a design: /design and /design/csv through
 // PowerPlayApp::handle in-process (no sockets), each request from a
-// fresh user so it misses the response cache and pays store load, Play
-// and render.  Reported per design as p50/p99; never gated.
+// user no earlier request used.  Two paths per design: shared_render,
+// the response-cache-on site, where new visitors share one render per
+// design state and /design splices the user in; and full_render, the
+// cache-off site, where every view pays store load, fingerprint, memo
+// Play and render.  Reported as p50/p99; never gated.
 //
 //   ./bench_http_load [out.json]   full run (defaults to BENCH_http.json)
 //   ./bench_http_load --smoke      tiny run, correctness checks only
@@ -144,20 +147,18 @@ ModeResult time_mode(const std::string& name, int iterations,
 }
 
 struct FirstView {
-  std::string design;
   double page_p50_us = 0;
   double page_p99_us = 0;
   double csv_p50_us = 0;
   double csv_p99_us = 0;
 };
 
-/// Uncached first views of `design`, in-process: every request comes
-/// from a user no earlier request used.
+/// First views of `design`, in-process: every request comes from a user
+/// no earlier request used.
 FirstView time_first_views(web::PowerPlayApp& app, const std::string& design,
                            int iterations) {
   static int next_user = 0;
   FirstView out;
-  out.design = design;
   std::vector<double> page_us;
   std::vector<double> csv_us;
   for (int i = 0; i < iterations; ++i) {
@@ -251,11 +252,19 @@ int main(int argc, char** argv) {
         return cached_conn.get(target);
       });
 
-  // first_view: the response-cache-on site, as served by default.
-  std::vector<FirstView> first_views;
+  // first_view: the shared render (the response-cache-on site, as
+  // served by default) and the full render (the cache-off site).
+  struct DesignFirstViews {
+    std::string design;
+    FirstView shared;
+    FirstView full;
+  };
+  std::vector<DesignFirstViews> first_views;
   for (const std::string& design : kDesigns) {
-    first_views.push_back(
-        time_first_views(*cached_site.app, design, smoke ? 3 : 300));
+    const int n = smoke ? 3 : 300;
+    first_views.push_back({design,
+                           time_first_views(*cached_site.app, design, n),
+                           time_first_views(*cold_site.app, design, n)});
   }
 
   const double speedup_keepalive = keepalive.per_second() / cold.per_second();
@@ -268,11 +277,14 @@ int main(int argc, char** argv) {
                 m->name.c_str(), m->requests, m->seconds, m->per_second(),
                 m->p50_us, m->p99_us);
   }
-  for (const FirstView& fv : first_views) {
-    std::printf("first view %-15s: /design p50 %7.1f us  p99 %7.1f us   "
-                "/design/csv p50 %7.1f us  p99 %7.1f us\n",
-                fv.design.c_str(), fv.page_p50_us, fv.page_p99_us,
-                fv.csv_p50_us, fv.csv_p99_us);
+  for (const DesignFirstViews& d : first_views) {
+    for (const auto& [label, fv] :
+         {std::pair{"shared", &d.shared}, std::pair{"full", &d.full}}) {
+      std::printf("first view %-15s %-6s: /design p50 %7.1f us  p99 %7.1f us"
+                  "   /design/csv p50 %7.1f us  p99 %7.1f us\n",
+                  d.design.c_str(), label, fv->page_p50_us, fv->page_p99_us,
+                  fv->csv_p50_us, fv->csv_p99_us);
+    }
   }
   std::printf("keepalive vs cold : %.2fx\n", speedup_keepalive);
   std::printf("cached    vs cold : %.2fx\n", speedup_cached);
@@ -299,13 +311,19 @@ int main(int argc, char** argv) {
        << "  \"speedup_keepalive_vs_cold\": " << speedup_keepalive << ",\n"
        << "  \"speedup_cached_vs_cold\": " << speedup_cached << ",\n"
        << "  \"first_view\": {\n";
-  for (std::size_t i = 0; i < first_views.size(); ++i) {
-    const FirstView& fv = first_views[i];
-    json << "    \"" << fv.design << "\": {\"design_p50_us\": "
-         << fv.page_p50_us << ", \"design_p99_us\": " << fv.page_p99_us
+  const auto first_view_json = [&json](const FirstView& fv) {
+    json << "{\"design_p50_us\": " << fv.page_p50_us
+         << ", \"design_p99_us\": " << fv.page_p99_us
          << ", \"design_csv_p50_us\": " << fv.csv_p50_us
-         << ", \"design_csv_p99_us\": " << fv.csv_p99_us << "}"
-         << (i + 1 < first_views.size() ? ",\n" : "\n");
+         << ", \"design_csv_p99_us\": " << fv.csv_p99_us << "}";
+  };
+  for (std::size_t i = 0; i < first_views.size(); ++i) {
+    json << "    \"" << first_views[i].design << "\": {\n"
+         << "      \"shared_render\": ";
+    first_view_json(first_views[i].shared);
+    json << ",\n      \"full_render\": ";
+    first_view_json(first_views[i].full);
+    json << "\n    }" << (i + 1 < first_views.size() ? ",\n" : "\n");
   }
   json << "  }\n"
        << "}\n";

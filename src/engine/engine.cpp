@@ -32,7 +32,11 @@ std::shared_ptr<const sheet::EvalPlan> EvalEngine::plan_for(
 
 std::shared_ptr<const sheet::PlayResult> EvalEngine::play(
     const sheet::Design& design) {
-  const std::uint64_t key = fingerprint(design);
+  return play(design, fingerprint(design));
+}
+
+std::shared_ptr<const sheet::PlayResult> EvalEngine::play(
+    const sheet::Design& design, std::uint64_t key) {
   if (auto cached = cache_.find(key)) return cached;
   sheet::PlanInstance inst(plan_for(design));
   inst.bind_from(design);

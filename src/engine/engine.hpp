@@ -87,6 +87,9 @@ class EvalEngine {
   /// sweeps below never touch this cache.
   [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play(
       const sheet::Design& design);
+  /// The same, for a caller that already holds fingerprint(design).
+  [[nodiscard]] std::shared_ptr<const sheet::PlayResult> play(
+      const sheet::Design& design, std::uint64_t fingerprint);
 
   /// 1-D sweep of global `param`: column i is the Play at values[i].
   /// Same validation, errors and values as sheet::sweep_global.

@@ -56,41 +56,59 @@ double parse_double(const std::string& text, const std::string& what) {
   }
 }
 
-/// Render one PlayResult as the Figure 2/5 HTML spreadsheet, with row
-/// names hyperlinked to documentation and macros drilled down inline.
-void append_spreadsheet(const sheet::PlayResult& result,
-                        const std::string& user, std::string& out,
+/// A labelled text input, as HtmlForm::text_field writes it.
+void append_text_field(PageTemplate& page, const std::string& label,
+                       const std::string& name, const std::string& value) {
+  page.text(label)
+      .raw(": <input type=\"text\" name=\"")
+      .text(name)
+      .raw("\" value=\"")
+      .text(value)
+      .raw("\"><br>\n");
+}
+
+/// The Energy/op and Power cells that close a spreadsheet row.
+void append_energy_power(PageTemplate& page, const model::Estimate& e) {
+  page.raw("<td>")
+      .text(e.energy_per_op.si() > 0 ? format_si(e.energy_per_op.si(), "J")
+                                     : "-")
+      .raw("</td><td>")
+      .text(format_si(e.total_power().si(), "W"))
+      .raw("</td></tr>\n");
+}
+
+/// Render one PlayResult as the Figure 2/5 HTML spreadsheet, with model
+/// names hyperlinked to documentation (the user a hole in each link) and
+/// macros drilled down inline.
+void append_spreadsheet(const sheet::PlayResult& result, PageTemplate& page,
                         int depth = 0) {
-  HtmlTable t;
-  t.header({"Row", "Model", "Parameters", "Energy/op", "Power"});
+  page.raw(
+      "<table border=\"1\">\n<tr><th>Row</th><th>Model</th>"
+      "<th>Parameters</th><th>Energy/op</th><th>Power</th></tr>\n");
   for (const sheet::RowResult& row : result.rows) {
-    std::string params;
-    for (const auto& [name, value] : row.shown_params) {
-      if (!params.empty()) params += ", ";
-      params += name + "=" + library::number_text(value);
-    }
-    std::string model_cell = row.model_name;
+    page.raw("<tr><td>").text(row.name).raw("</td><td>");
     if (row.sub_result == nullptr) {
-      model_cell = HtmlTable::raw_cell(
-          link("/doc", {{"name", row.model_name}, {"user", user}},
-               row.model_name));
+      page.user_link("/doc", {{"name", row.model_name}}, row.model_name);
+    } else {
+      page.text(row.model_name);
     }
-    t.row({row.name, model_cell, params,
-           row.estimate.energy_per_op.si() > 0
-               ? format_si(row.estimate.energy_per_op.si(), "J")
-               : "-",
-           format_si(row.estimate.total_power().si(), "W")});
+    page.raw("</td><td>");
+    const char* separator = "";
+    for (const auto& [name, value] : row.shown_params) {
+      page.raw(separator).text(name).raw("=").text(
+          library::number_text(value));
+      separator = ", ";
+    }
+    page.raw("</td>");
+    append_energy_power(page, row.estimate);
   }
-  t.row({"TOTAL", "", "",
-         result.total.energy_per_op.si() > 0
-             ? format_si(result.total.energy_per_op.si(), "J")
-             : "-",
-         format_si(result.total.total_power().si(), "W")});
-  out += t.str();
+  page.raw("<tr><td>TOTAL</td><td></td><td></td>");
+  append_energy_power(page, result.total);
+  page.raw("</table>\n");
   for (const sheet::RowResult& row : result.rows) {
     if (row.sub_result != nullptr && depth < 8) {
-      out += "<h3>" + html_escape(row.name) + " (macro drill-down)</h3>\n";
-      append_spreadsheet(*row.sub_result, user, out, depth + 1);
+      page.raw("<h3>").text(row.name).raw(" (macro drill-down)</h3>\n");
+      append_spreadsheet(*row.sub_result, page, depth + 1);
     }
   }
 }
@@ -109,16 +127,6 @@ bool cacheable_route(const std::string& path) {
     if (path == route) return true;
   }
   return false;
-}
-
-/// The single design a cacheable page's bytes depend on, if any — these
-/// entries get the fingerprint-revalidation fast path when an unrelated
-/// commit bumps the library revision.
-std::string design_dependency(const std::string& path, const Params& q) {
-  if (path == "/design" || path == "/design/csv" || path == "/api/design") {
-    return get_or(q, "name");
-  }
-  return {};
 }
 
 }  // namespace
@@ -182,12 +190,33 @@ void PowerPlayApp::shutdown() {
   store_.flush();
 }
 
-std::shared_ptr<std::mutex> PowerPlayApp::session_lock(
-    const std::string& user) {
+class PowerPlayApp::SessionGuard {
+ public:
+  SessionGuard(PowerPlayApp& app, const std::string& user) : app_(app) {
+    {
+      std::lock_guard lock(app_.sessions_mutex_);
+      it_ = app_.sessions_.try_emplace(user).first;
+      it_->second.holders += 1;
+    }
+    // The count keeps the entry alive while this request waits here.
+    it_->second.mutex.lock();
+  }
+  ~SessionGuard() {
+    it_->second.mutex.unlock();
+    std::lock_guard lock(app_.sessions_mutex_);
+    if (--it_->second.holders == 0) app_.sessions_.erase(it_);
+  }
+  SessionGuard(const SessionGuard&) = delete;
+  SessionGuard& operator=(const SessionGuard&) = delete;
+
+ private:
+  PowerPlayApp& app_;
+  std::map<std::string, Session>::iterator it_;
+};
+
+std::size_t PowerPlayApp::active_sessions() const {
   std::lock_guard lock(sessions_mutex_);
-  auto& slot = session_locks_[user];
-  if (slot == nullptr) slot = std::make_shared<std::mutex>();
-  return slot;
+  return sessions_.size();
 }
 
 Response PowerPlayApp::handle(const Request& request) {
@@ -256,13 +285,9 @@ Response PowerPlayApp::handle(const Request& request) {
     // Shard 1: each user's own requests are serialized (profile and
     // design edits are read-modify-write over their files), but two
     // users never wait on each other here.
-    std::shared_ptr<std::mutex> session;
-    std::unique_lock<std::mutex> session_guard;
+    std::optional<SessionGuard> session;
     const std::string user = get_or(q, "user");
-    if (!user.empty()) {
-      session = session_lock(user);
-      session_guard = std::unique_lock(*session);
-    }
+    if (!user.empty()) session.emplace(*this, user);
 
     // Shard 2: the shared library.  Only the handful of mutating routes
     // take it exclusively; everything else reads concurrently.
@@ -273,7 +298,7 @@ Response PowerPlayApp::handle(const Request& request) {
     std::shared_lock lib(library_mutex_);
     if (cache_ != nullptr && request.method == "GET" &&
         cacheable_route(target.path)) {
-      return serve_cached(request, q);
+      return serve_cached(request, target.path, q);
     }
     return dispatch(target.path, request.method, q);
   } catch (const AccessDenied& e) {
@@ -306,7 +331,7 @@ Response PowerPlayApp::dispatch(const std::string& path,
   if (path == "/design/setrow") return do_design_setrow(q);
   if (path == "/design/sweep") return do_design_sweep(q);
   if (path == "/design/explore") return do_design_explore(q);
-  if (path == "/design/csv") return design_csv(q);
+  if (path == "/design/csv") return design_csv(q).respond({});
   if (path == "/job/cancel") return do_job_cancel(q);
   if (path == "/job") return page_job(q);
   if (path == "/jobs") return page_jobs(q);
@@ -320,34 +345,85 @@ Response PowerPlayApp::dispatch(const std::string& path,
   if (path == "/api/models") return api_models();
   if (path == "/api/model") return api_model(q);
   if (path == "/api/designs") return api_designs();
-  if (path == "/api/design") return api_design(q);
+  if (path == "/api/design") return api_design(q).respond({});
   return Response::not_found(path);
 }
+
+PowerPlayApp::View PowerPlayApp::render_view(const std::string& path,
+                                             const std::string& method,
+                                             const Params& q) {
+  if (path == "/design") return render_design(need(q, "name"));
+  if (path == "/design/csv") return design_csv(q);
+  if (path == "/api/design") return api_design(q);
+  return View(dispatch(path, method, q));
+}
+
+PowerPlayApp::View::View(Response response, std::optional<std::uint64_t> fp)
+    : head(std::move(response)),
+      body(std::move(head.body)),
+      design_fp(fp) {
+  head.body.clear();
+}
+
+Response PowerPlayApp::View::respond(const std::string& user) && {
+  Response r = std::move(head);
+  r.body = body.splice(user);
+  return r;
+}
+
+namespace {
+
+/// A cached page as `user` sees it, or a 304 when the client already
+/// holds exactly those bytes.
+Response answer(const ResponseCache::Entry& entry, const std::string& user,
+                const Request& request, ResponseCache& cache) {
+  std::string etag = entry.etag_for(user);
+  if (if_none_match(request, etag)) {
+    cache.count_not_modified();
+    return Response::not_modified(etag);
+  }
+  Response r = entry.head;
+  r.body = entry.body.splice(user);
+  r.headers["etag"] = std::move(etag);
+  return r;
+}
+
+}  // namespace
 
 // The cached-GET fast path.  Runs under the shared library lock, so no
 // mutating route interleaves; ensure_user() commits from sibling readers
 // can still advance the store revision concurrently, which is why the
 // revision is read *before* rendering — a commit that lands mid-render
 // invalidates the entry instead of being masked by it.
-Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
-  const Target target = request.parsed_target();
-  const std::string key = target.path + '?' + to_query(q);
+//
+// The design pages key on route + name alone: /design/csv names no user,
+// and /design is a template each request splices its own user into, so
+// every visitor of a design shares one render.
+Response PowerPlayApp::serve_cached(const Request& request,
+                                    const std::string& path,
+                                    const Params& q) {
+  const bool design_page = path == "/design" || path == "/design/csv";
+  const std::string user = path == "/design" ? need(q, "user") : "";
+  const std::string key =
+      path + '?' +
+      (design_page ? to_query({{"name", get_or(q, "name")}}) : to_query(q));
   const std::uint64_t revision = store_.revision();
   // Model (re)definitions change registry-backed pages (/model, /doc,
   // /api/*) without a design commit; they all bump the generation.
   const std::uint64_t model_rev = registry_.generation();
 
-  if (auto entry = cache_->find(key);
-      entry.has_value() && entry->model_revision == model_rev) {
-    bool current = entry->revision == revision;
-    if (!current && !entry->design.empty()) {
+  if (auto found = cache_->find(key);
+      found.entry != nullptr && found.entry->model_revision == model_rev) {
+    const ResponseCache::Entry& entry = *found.entry;
+    bool current = found.revision == revision;
+    if (!current && !entry.design.empty()) {
       // Some commit happened, but perhaps not to this page's design:
       // compare content fingerprints before paying for a re-render.
       // The reload is a verified file read and a parsed-cache hit.
       try {
-        if (store_.has_design(entry->design)) {
-          const auto design = store_.load_design(entry->design, registry_);
-          if (engine::fingerprint(*design) == entry->design_fp) {
+        if (store_.has_design(entry.design)) {
+          const auto design = store_.load_design(entry.design, registry_);
+          if (engine::fingerprint(*design) == entry.design_fp) {
             cache_->refresh(key, revision);
             cache_->count_revalidation();
             current = true;
@@ -360,46 +436,24 @@ Response PowerPlayApp::serve_cached(const Request& request, const Params& q) {
     }
     if (current) {
       cache_->count_hit();
-      if (if_none_match(request, entry->etag)) {
-        cache_->count_not_modified();
-        return Response::not_modified(entry->etag);
-      }
-      return entry->response;
+      return answer(entry, user, request, *cache_);
     }
   }
 
   cache_->count_miss();
-  Response response = dispatch(target.path, request.method, q);
-  if (response.status != 200) return response;
+  View view = render_view(path, request.method, q);
+  if (view.head.status != 200) return std::move(view).respond(user);
 
-  const std::string etag = ResponseCache::make_etag(response);
-  response.headers["etag"] = etag;
-
-  ResponseCache::Entry entry;
-  entry.etag = etag;
-  entry.revision = revision;
-  entry.model_revision = model_rev;
-  entry.design = design_dependency(target.path, q);
-  if (!entry.design.empty()) {
-    try {
-      if (store_.has_design(entry.design)) {
-        entry.design_fp = engine::fingerprint(
-            *store_.load_design(entry.design, registry_));
-      } else {
-        entry.design.clear();  // fall back to plain revision keying
-      }
-    } catch (const std::exception&) {
-      entry.design.clear();
-    }
+  auto entry = std::make_shared<ResponseCache::Entry>(std::move(view.head),
+                                                      std::move(view.body));
+  entry->model_revision = model_rev;
+  if (view.design_fp.has_value()) {
+    // The render's own fingerprint: no second load to fill it in.
+    entry->design = get_or(q, "name");
+    entry->design_fp = *view.design_fp;
   }
-  entry.response = response;
-  cache_->insert(key, std::move(entry));
-
-  if (if_none_match(request, etag)) {
-    cache_->count_not_modified();
-    return Response::not_modified(etag);
-  }
-  return response;
+  cache_->insert(key, entry, revision);
+  return answer(*entry, user, request, *cache_);
 }
 
 // ---------------------------------------------------------------------------
@@ -958,30 +1012,33 @@ Response PowerPlayApp::do_design_add(const Params& q) {
     profile.designs.push_back(design_name);
     store_.save_user(profile);
   }
-  return render_design(user, design_name, "added row '" + row_name + "'");
+  return render_design(design_name, "added row '" + row_name + "'")
+      .respond(user);
 }
 
 Response PowerPlayApp::page_design(const Params& q) {
   const std::string user = need(q, "user");
-  const std::string name = need(q, "name");
-  return render_design(user, name);
+  return render_design(need(q, "name")).respond(user);
 }
 
-Response PowerPlayApp::render_design(const std::string& user,
-                                     const std::string& design_name,
-                                     const std::string& message) {
+PowerPlayApp::View PowerPlayApp::render_design(const std::string& design_name,
+                                               const std::string& message) {
+  using Encoding = PageTemplate::Encoding;
   library::validate_store_name(design_name);
+  View view(Response::ok_html({}));
+  PageTemplate& page = view.body;
   if (!store_.has_design(design_name)) {
-    HtmlPage page("Design: " + design_name);
-    page.paragraph("No rows yet — add instances from the model library.");
-    page.raw(link("/library", {{"user", user}}, "Model library"));
-    return Response::ok_html(page.str());
+    page.open("Design: " + design_name)
+        .paragraph("No rows yet — add instances from the model library.")
+        .user_link("/library", {}, "Model library")
+        .close();
+    return view;
   }
   const auto design = store_.load_design(design_name, registry_);
-  const auto played = engine_.play(*design);
-  const sheet::PlayResult& result = *played;
+  view.design_fp = engine::fingerprint(*design);
+  const auto played = engine_.play(*design, *view.design_fp);
 
-  HtmlPage page(design_name + " summary");
+  page.open(design_name + " summary");
   if (!message.empty()) page.paragraph("[" + message + "]");
   if (!design->description().empty()) {
     page.paragraph(design->description());
@@ -990,28 +1047,30 @@ Response PowerPlayApp::render_design(const std::string& user,
   // Editable globals + Play button (the paper's "user can change any
   // parameter from the top page ... When the Play button is pressed
   // power is calculated for the entire design").
-  HtmlForm play("/design/play", "POST");
-  play.hidden("user", user);
-  play.hidden("name", design_name);
+  page.raw("<form action=\"/design/play\" method=\"POST\">\n"
+           "<input type=\"hidden\" name=\"user\" value=\"")
+      .user(Encoding::kAttribute)
+      .raw("\">\n<input type=\"hidden\" name=\"name\" value=\"")
+      .text(design_name)
+      .raw("\">\n");
   for (const std::string& nm : design->globals().local_names()) {
     auto found = design->globals().lookup(nm);
     if (const double* literal = std::get_if<double>(found->binding)) {
-      play.text_field(nm, "g_" + nm, library::number_text(*literal));
+      append_text_field(page, nm, "g_" + nm, library::number_text(*literal));
     } else {
       const auto& f = std::get<expr::ExprPtr>(*found->binding);
-      play.text_field(nm + " (formula)", "g_" + nm, expr::to_source(*f));
+      append_text_field(page, nm + " (formula)", "g_" + nm,
+                        expr::to_source(*f));
     }
   }
-  play.submit("PLAY");
-  page.raw(play.str());
+  page.raw("<input type=\"submit\" value=\"PLAY\">\n</form>\n");
 
-  std::string sheet_html;
-  append_spreadsheet(result, user, sheet_html);
-  page.raw(sheet_html);
-  page.paragraph("Computed in " + std::to_string(result.iterations) +
-                 " sweep(s).");
-  page.raw(link("/menu", {{"user", user}}, "Back to menu"));
-  return Response::ok_html(page.str());
+  append_spreadsheet(*played, page);
+  page.paragraph("Computed in " + std::to_string(played->iterations) +
+                 " sweep(s).")
+      .user_link("/menu", {}, "Back to menu")
+      .close();
+  return view;
 }
 
 Response PowerPlayApp::do_design_play(const Params& q) {
@@ -1033,7 +1092,7 @@ Response PowerPlayApp::do_design_play(const Params& q) {
     }
   }
   store_.save_design(design);
-  return render_design(user, name, "recomputed");
+  return render_design(name, "recomputed").respond(user);
 }
 
 Response PowerPlayApp::do_design_setrow(const Params& q) {
@@ -1054,8 +1113,8 @@ Response PowerPlayApp::do_design_setrow(const Params& q) {
     row->params.set_formula(param, value);
   }
   store_.save_design(design);
-  return render_design(user, name,
-                       "set " + row_name + "." + param + " = " + value);
+  return render_design(name, "set " + row_name + "." + param + " = " + value)
+      .respond(user);
 }
 
 // ---------------------------------------------------------------------------
@@ -1699,17 +1758,18 @@ Response PowerPlayApp::page_agent(const Params& q) const {
   return Response::ok_html(page.str());
 }
 
-Response PowerPlayApp::design_csv(const Params& q) {
+PowerPlayApp::View PowerPlayApp::design_csv(const Params& q) {
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
-    return Response::not_found("design '" + name + "'");
+    return View(Response::not_found("design '" + name + "'"));
   }
   const auto design = store_.load_design(name, registry_);
+  const std::uint64_t fp = engine::fingerprint(*design);
   Response r;
   r.content_type = "text/csv";
-  r.body = sheet::to_csv(*engine_.play(*design));
-  return r;
+  r.body = sheet::to_csv(*engine_.play(*design, fp));
+  return View(std::move(r), fp);
 }
 
 Response PowerPlayApp::page_help(const Params& q) const {
@@ -1802,14 +1862,15 @@ Response PowerPlayApp::api_designs() const {
   return Response::ok_text(out);
 }
 
-Response PowerPlayApp::api_design(const Params& q) const {
+PowerPlayApp::View PowerPlayApp::api_design(const Params& q) const {
   const std::string name = need(q, "name");
   library::validate_store_name(name);
   if (!store_.has_design(name)) {
-    return Response::not_found("design '" + name + "'");
+    return View(Response::not_found("design '" + name + "'"));
   }
   const auto design = store_.load_design(name, registry_);
-  return Response::ok_text(library::to_text(*design));
+  return View(Response::ok_text(library::to_text(*design)),
+              engine::fingerprint(*design));
 }
 
 }  // namespace powerplay::web

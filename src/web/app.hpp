@@ -57,6 +57,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 
 #include "engine/engine.hpp"
@@ -66,6 +67,7 @@
 #include "model/registry.hpp"
 #include "web/cache.hpp"
 #include "web/federation.hpp"
+#include "web/html.hpp"
 #include "web/http.hpp"
 #include "web/repl.hpp"
 #include "web/server.hpp"
@@ -162,6 +164,10 @@ class PowerPlayApp {
     request_budget_ms_.store(budget.count());
   }
 
+  /// Users with a request in flight (each holds a session lock entry;
+  /// the entry goes when its last request does).
+  [[nodiscard]] std::size_t active_sessions() const;
+
  private:
   Response page_healthz();
   Response repl_snapshot();
@@ -187,12 +193,29 @@ class PowerPlayApp {
   Response page_agent(const Params& q) const;
   Response do_set_password(const Params& q);
   Response page_help(const Params& q) const;
-  Response design_csv(const Params& q);
+
+  /// A rendered page whose body may name its user at recorded holes,
+  /// and the fingerprint of the stored design it shows, if any: the
+  /// response cache takes it from here, so a miss loads and
+  /// fingerprints that design once.
+  struct View {
+    explicit View(Response response,
+                  std::optional<std::uint64_t> fp = std::nullopt);
+
+    Response head;  ///< status, media type, headers; the body is `body`
+    PageTemplate body;
+    std::optional<std::uint64_t> design_fp;
+
+    /// The page as `user` sees it.
+    [[nodiscard]] Response respond(const std::string& user) &&;
+  };
+
+  View design_csv(const Params& q);
 
   Response api_models() const;
   Response api_model(const Params& q) const;
   Response api_designs() const;
-  Response api_design(const Params& q) const;
+  View api_design(const Params& q) const;
 
   [[nodiscard]] Deadline request_deadline() const;
   Response fed_models(const Params& q);
@@ -209,30 +232,44 @@ class PowerPlayApp {
   /// Load-or-create the profile for q["user"], enforcing its password.
   library::UserProfile authorized_user(const Params& q);
 
-  /// Render a design's spreadsheet page (shared by several handlers).
-  /// Plays through engine_.play, like design_csv: an unchanged design
-  /// costs a fingerprint and a memo hit, not an evaluation.
-  Response render_design(const std::string& user,
-                         const std::string& design_name,
-                         const std::string& message = {});
+  /// Render a design's spreadsheet page, its user a hole: GET /design,
+  /// the pages re-rendered after add/play/setrow, and the response
+  /// cache all serve this one template.  Plays through engine_.play,
+  /// like design_csv: an unchanged design costs a fingerprint and a
+  /// memo hit, not an evaluation.
+  View render_design(const std::string& design_name,
+                     const std::string& message = {});
 
   Response dispatch(const std::string& path, const std::string& method,
                     const Params& q);
 
+  /// A cacheable GET as a View: the design-scoped routes above, any
+  /// other route's response as a body without holes.
+  View render_view(const std::string& path, const std::string& method,
+                   const Params& q);
+
   /// The cached-GET fast path: revision-checked lookup, fingerprint
   /// revalidation, If-None-Match handling, and fill-on-miss.  Only
   /// called for cacheable routes (see cacheable_route in app.cpp).
-  Response serve_cached(const Request& request, const Params& q);
+  Response serve_cached(const Request& request, const std::string& path,
+                        const Params& q);
 
-  /// The named user's session mutex (created on first sight).
-  std::shared_ptr<std::mutex> session_lock(const std::string& user);
+  /// Holds one user's session lock for a request's lifetime.
+  class SessionGuard;
+
+  /// One user's session lock; `holders` counts the requests holding or
+  /// waiting for it, and the last to leave erases the entry.
+  struct Session {
+    std::mutex mutex;
+    std::size_t holders = 0;
+  };
 
   /// Store + registry lock: shared for reads, exclusive for the few
   /// mutating routes (/design/add, /design/play, /design/setrow,
   /// POST /newmodel).
   mutable std::shared_mutex library_mutex_;
-  std::mutex sessions_mutex_;
-  std::map<std::string, std::shared_ptr<std::mutex>> session_locks_;
+  mutable std::mutex sessions_mutex_;
+  std::map<std::string, Session> sessions_;
   mutable std::mutex stats_mutex_;
   StatsSource stats_source_;
   /// Role is read on every request; the strings/hooks behind it are

@@ -4,36 +4,71 @@
 
 namespace powerplay::web {
 
+namespace {
+
+std::string quoted_hex(std::uint64_t digest) {
+  return '"' + engine::fingerprint_hex(digest) + '"';
+}
+
+}  // namespace
+
+ResponseCache::Entry::Entry(Response head_in, PageTemplate body_in)
+    : head(std::move(head_in)), body(std::move(body_in)) {
+  head.body.clear();
+  engine::Fnv1a h;
+  h.size(static_cast<std::size_t>(head.status));
+  h.text(head.content_type);
+  h.text(body.markup());
+  if (!body.holes().empty()) {
+    h.size(body.holes().size());
+    for (const PageTemplate::Hole& hole : body.holes()) {
+      h.size(hole.offset);
+      h.tag(static_cast<char>(hole.encoding));
+    }
+  }
+  digest = h.digest();
+  if (body.holes().empty()) etag = quoted_hex(digest);
+}
+
+std::string ResponseCache::Entry::etag_for(const std::string& user) const {
+  if (!etag.empty()) return etag;
+  engine::Fnv1a h;
+  h.bytes(&digest, sizeof digest);
+  h.text(user);
+  return quoted_hex(h.digest());
+}
+
 ResponseCache::ResponseCache(ResponseCacheOptions options)
     : options_(options) {}
 
-std::optional<ResponseCache::Entry> ResponseCache::find(
-    const std::string& key) {
+ResponseCache::Found ResponseCache::find(const std::string& key) {
   std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
+  if (it == entries_.end()) return {};
   order_.splice(order_.begin(), order_, it->second.lru);  // touch
-  return it->second.entry;
+  return {it->second.entry, it->second.revision};
 }
 
 void ResponseCache::refresh(const std::string& key, std::uint64_t revision) {
   std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
-  if (it != entries_.end()) it->second.entry.revision = revision;
+  if (it != entries_.end()) it->second.revision = revision;
 }
 
-void ResponseCache::insert(const std::string& key, Entry entry) {
-  const std::size_t size = entry.response.body.size();
+void ResponseCache::insert(const std::string& key,
+                           std::shared_ptr<const Entry> entry,
+                           std::uint64_t revision) {
+  const std::size_t size = entry->body.markup().size();
   std::lock_guard lock(mutex_);
   if (options_.max_entries == 0 || size > options_.max_bytes) return;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    bytes_ -= it->second.entry.response.body.size();
+    bytes_ -= it->second.entry->body.markup().size();
     order_.erase(it->second.lru);
     entries_.erase(it);
   }
   order_.push_front(key);
-  entries_.emplace(key, Slot{std::move(entry), order_.begin()});
+  entries_.emplace(key, Slot{std::move(entry), revision, order_.begin()});
   bytes_ += size;
   insertions_ += 1;
   evict_locked();
@@ -44,19 +79,11 @@ void ResponseCache::evict_locked() {
                              bytes_ > options_.max_bytes)) {
     const std::string& victim = order_.back();
     auto it = entries_.find(victim);
-    bytes_ -= it->second.entry.response.body.size();
+    bytes_ -= it->second.entry->body.markup().size();
     entries_.erase(it);
     order_.pop_back();
     evictions_ += 1;
   }
-}
-
-std::string ResponseCache::make_etag(const Response& response) {
-  engine::Fnv1a h;
-  h.size(static_cast<std::size_t>(response.status));
-  h.text(response.content_type);
-  h.text(response.body);
-  return '"' + engine::fingerprint_hex(h.digest()) + '"';
 }
 
 void ResponseCache::count_hit() {

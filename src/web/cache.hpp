@@ -4,7 +4,10 @@
 // page on every hit.  This cache keys each cacheable GET by its route +
 // canonical query and remembers the library revision (and, for
 // design-scoped pages, the design's content fingerprint) it was
-// rendered at:
+// rendered at.  The design pages key on route + `name` only, so every
+// visitor shares one render per design state: /design/csv names no user,
+// and /design is stored as a PageTemplate (web/html.hpp) that each hit
+// splices its own user into.
 //
 //   - revision match            → serve the cached bytes outright;
 //   - revision mismatch, but a design-scoped entry whose design still
@@ -13,19 +16,25 @@
 //     performs the fingerprint check — it owns the store);
 //   - otherwise                 → re-render and replace.
 //
-// Every cached 200 carries a strong ETag (FNV-1a over status, media
-// type and body), so a client that presents If-None-Match gets a 304
-// without a byte of body moving.  Entries are LRU-bounded by count and
-// total body bytes.
+// Every cached 200 carries a strong ETag, so a client that presents
+// If-None-Match gets a 304 without a byte of body moving.  The entry's
+// digest is FNV-1a over status, media type and body (plus the holes'
+// offsets and encodings when the body is a template); a page without
+// holes is tagged with the digest itself, a spliced page with FNV-1a of
+// the digest and the user's bytes — the body is a pure function of the
+// two, so a hit never re-hashes it.  Entries are LRU-bounded by count
+// and total body bytes, and shared out as immutable snapshots: a hit
+// copies bytes only when it builds its response.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "web/html.hpp"
 #include "web/http.hpp"
 
 namespace powerplay::web {
@@ -50,28 +59,40 @@ struct ResponseCacheStats {
 class ResponseCache {
  public:
   struct Entry {
-    Response response;           ///< includes the etag header
-    std::string etag;            ///< strong, quoted
-    std::uint64_t revision = 0;  ///< library revision at render
+    /// `head` (status, media type, headers; its body unused) and `body`
+    /// make up the response; the digest and shared ETag are derived
+    /// from them by the constructor.
+    Entry(Response head, PageTemplate body);
+
+    Response head;
+    PageTemplate body;
+    std::uint64_t digest = 0;
+    std::string etag;  ///< strong, quoted; empty when the body has holes
     std::uint64_t model_revision = 0;  ///< registry generation at render
-    std::string design;          ///< design this page depends on, if any
-    std::uint64_t design_fp = 0; ///< fingerprint(design) at render
+    std::string design;           ///< design this page depends on, if any
+    std::uint64_t design_fp = 0;  ///< fingerprint(design) at render
+
+    /// The strong quoted ETag of the page as `user` sees it.
+    [[nodiscard]] std::string etag_for(const std::string& user) const;
   };
 
   explicit ResponseCache(ResponseCacheOptions options = {});
 
-  /// Copy of the entry under `key`, regardless of staleness (the caller
-  /// revalidates against the current revision/fingerprint).
-  [[nodiscard]] std::optional<Entry> find(const std::string& key);
+  /// The entry under `key` and the library revision it is current at,
+  /// regardless of staleness (the caller revalidates against the
+  /// current revision/fingerprint).  Null when absent.
+  struct Found {
+    std::shared_ptr<const Entry> entry;
+    std::uint64_t revision = 0;
+  };
+  [[nodiscard]] Found find(const std::string& key);
 
   /// Mark the entry current again after a successful fingerprint
   /// revalidation (no re-render happened).
   void refresh(const std::string& key, std::uint64_t revision);
 
-  void insert(const std::string& key, Entry entry);
-
-  /// Strong quoted ETag over the bytes a client would observe.
-  static std::string make_etag(const Response& response);
+  void insert(const std::string& key, std::shared_ptr<const Entry> entry,
+              std::uint64_t revision);
 
   // Stats hooks the app calls on its own cache decisions (hit / miss /
   // 304 are app-level outcomes; the cache only sees find/insert).
@@ -90,7 +111,8 @@ class ResponseCache {
   /// LRU list of keys, most recent first; map values point into it.
   std::list<std::string> order_;
   struct Slot {
-    Entry entry;
+    std::shared_ptr<const Entry> entry;
+    std::uint64_t revision = 0;  ///< library revision the entry is current at
     std::list<std::string>::iterator lru;
   };
   std::unordered_map<std::string, Slot> entries_;

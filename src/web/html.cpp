@@ -4,13 +4,7 @@ namespace powerplay::web {
 
 namespace {
 
-constexpr const char* kRawMarker = "\x01raw\x01";
-
-}  // namespace
-
-std::string html_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+void append_escaped(std::string& out, std::string_view text) {
   for (char c : text) {
     switch (c) {
       case '&': out += "&amp;"; break;
@@ -20,6 +14,24 @@ std::string html_escape(const std::string& text) {
       default: out.push_back(c);
     }
   }
+}
+
+void append_head(std::string& out, std::string_view title) {
+  out += "<html><head><title>";
+  append_escaped(out, title);
+  out += "</title></head>\n<body>\n<h1>";
+  append_escaped(out, title);
+  out += "</h1>\n";
+}
+
+constexpr std::string_view kTail = "</body></html>\n";
+
+}  // namespace
+
+std::string html_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
@@ -55,24 +67,73 @@ HtmlPage& HtmlPage::rule() {
 }
 
 std::string HtmlPage::str() const {
-  return "<html><head><title>" + html_escape(title_) +
-         "</title></head>\n<body>\n<h1>" + html_escape(title_) + "</h1>\n" +
-         body_ + "</body></html>\n";
+  std::string out;
+  append_head(out, title_);
+  out += body_;
+  out += kTail;
+  return out;
 }
 
-std::string HtmlTable::raw_cell(const std::string& markup) {
-  return kRawMarker + markup;
+PageTemplate& PageTemplate::open(std::string_view title) {
+  append_head(markup_, title);
+  return *this;
+}
+
+PageTemplate& PageTemplate::close() { return raw(kTail); }
+
+PageTemplate& PageTemplate::raw(std::string_view markup) {
+  markup_ += markup;
+  return *this;
+}
+
+PageTemplate& PageTemplate::text(std::string_view text) {
+  append_escaped(markup_, text);
+  return *this;
+}
+
+PageTemplate& PageTemplate::paragraph(std::string_view text) {
+  return raw("<p>").text(text).raw("</p>\n");
+}
+
+PageTemplate& PageTemplate::user(Encoding encoding) {
+  holes_.push_back({markup_.size(), encoding});
+  return *this;
+}
+
+PageTemplate& PageTemplate::user_link(std::string_view path,
+                                      const Params& query,
+                                      std::string_view label) {
+  raw("<a href=\"").text(path).raw("?");
+  for (const auto& [key, value] : query) {
+    text(url_encode(key)).raw("=").text(url_encode(value)).raw("&amp;");
+  }
+  return raw("user=").user(Encoding::kQueryValue).raw("\">").text(label).raw(
+      "</a>");
+}
+
+std::string PageTemplate::splice(const std::string& user) const {
+  if (holes_.empty()) return markup_;
+  const std::string attribute = html_escape(user);
+  const std::string query = html_escape(url_encode(user));
+  std::size_t size = markup_.size();
+  for (const Hole& hole : holes_) {
+    size += hole.encoding == Encoding::kAttribute ? attribute.size()
+                                                  : query.size();
+  }
+  std::string out;
+  out.reserve(size);
+  std::size_t at = 0;
+  for (const Hole& hole : holes_) {
+    out.append(markup_, at, hole.offset - at);
+    out += hole.encoding == Encoding::kAttribute ? attribute : query;
+    at = hole.offset;
+  }
+  out.append(markup_, at, std::string::npos);
+  return out;
 }
 
 std::string HtmlTable::render_cell(const std::string& cell, const char* tag) {
-  const std::string marker = kRawMarker;
-  std::string content;
-  if (cell.rfind(marker, 0) == 0) {
-    content = cell.substr(marker.size());
-  } else {
-    content = html_escape(cell);
-  }
-  return std::string("<") + tag + ">" + content + "</" + tag + ">";
+  return std::string("<") + tag + ">" + html_escape(cell) + "</" + tag + ">";
 }
 
 HtmlTable& HtmlTable::header(const std::vector<std::string>& cells) {

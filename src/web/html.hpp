@@ -7,7 +7,9 @@
 // (Figure 4 model input), and hyperlinks.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "web/url.hpp"
@@ -39,19 +41,65 @@ class HtmlPage {
   std::string body_;
 };
 
-/// Table builder (rows of already-escaped cells are a footgun, so cells
-/// are escaped here; pass raw_cell() output for markup like links).
+/// Table builder (rows of already-escaped cells are a footgun, so every
+/// cell is escaped here).
 class HtmlTable {
  public:
   HtmlTable& header(const std::vector<std::string>& cells);
   HtmlTable& row(const std::vector<std::string>& cells);
-  /// Mark a cell's content as pre-rendered markup.
-  static std::string raw_cell(const std::string& markup);
   [[nodiscard]] std::string str() const;
 
  private:
   static std::string render_cell(const std::string& cell, const char* tag);
   std::string rows_;
+};
+
+/// A page rendered once and served to many users: the markup plus the
+/// byte offsets where the user's name goes, each tagged with how it is
+/// encoded there.  Holes are recorded while writing, never found by
+/// searching the text — row names, model names and descriptions are
+/// user-controlled and may contain any marker.
+class PageTemplate {
+ public:
+  enum class Encoding : std::uint8_t {
+    kAttribute,   ///< html_escape(user): an attribute value
+    kQueryValue,  ///< html_escape(url_encode(user)): a query value in an href
+  };
+  struct Hole {
+    std::size_t offset = 0;
+    Encoding encoding = Encoding::kAttribute;
+  };
+
+  PageTemplate() = default;
+  /// A page that names no user (spliced, it is `markup` itself).
+  explicit PageTemplate(std::string markup) : markup_(std::move(markup)) {}
+
+  /// The HtmlPage framing: title and <h1>, then the closing tags.
+  PageTemplate& open(std::string_view title);
+  PageTemplate& close();
+
+  /// Pre-escaped markup, verbatim.
+  PageTemplate& raw(std::string_view markup);
+  /// Text, escaped for element/attribute context.
+  PageTemplate& text(std::string_view text);
+  /// <p>text</p>, escaped.
+  PageTemplate& paragraph(std::string_view text);
+  /// A hole for the user's name at the current end.
+  PageTemplate& user(Encoding encoding);
+  /// link(path, query + {user}, label) with the user as a hole.  Every
+  /// key of `query` must sort before "user", as to_query orders them.
+  PageTemplate& user_link(std::string_view path, const Params& query,
+                          std::string_view label);
+
+  /// The page as `user` sees it.
+  [[nodiscard]] std::string splice(const std::string& user) const;
+
+  [[nodiscard]] const std::string& markup() const { return markup_; }
+  [[nodiscard]] const std::vector<Hole>& holes() const { return holes_; }
+
+ private:
+  std::string markup_;
+  std::vector<Hole> holes_;
 };
 
 /// Form builder: GET or POST with text inputs and a submit button.

@@ -12,12 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/ast.hpp"
+#include "library/textio.hpp"
 #include "models/berkeley_library.hpp"
 #include "sheet/report.hpp"
 #include "sheet/sweep.hpp"
 #include "studies/infopad.hpp"
 #include "studies/vq.hpp"
 #include "web/client.hpp"
+#include "web/html.hpp"
 #include "web/server.hpp"
 
 namespace powerplay::web {
@@ -526,6 +529,334 @@ TEST_F(AppFixture, DesignPagesMatchGoldens) {
       EXPECT_EQ(csv.body, slurp(csv_path)) << name << " as " << user;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared design pages: one render per design state, the user spliced in
+// ---------------------------------------------------------------------------
+
+// The per-user /design renderer from before pages were shared templates,
+// kept as the byte-identity oracle: a spliced page must equal what this
+// writes for the same user.
+void oracle_spreadsheet(const sheet::PlayResult& result,
+                        const std::string& user, std::string& out,
+                        int depth = 0) {
+  // HtmlTable's markup, with the model cell left unescaped when it holds
+  // the documentation link.
+  const auto row_html = [](const std::vector<std::string>& cells,
+                           std::size_t raw_cell, const char* tag) {
+    std::string html = "<tr>";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      html += std::string("<") + tag + ">" +
+              (i == raw_cell ? cells[i] : html_escape(cells[i])) + "</" +
+              tag + ">";
+    }
+    return html + "</tr>\n";
+  };
+  const auto energy = [](const model::Estimate& e) {
+    return e.energy_per_op.si() > 0 ? units::format_si(e.energy_per_op.si(), "J")
+                                    : std::string("-");
+  };
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::string rows = row_html(
+      {"Row", "Model", "Parameters", "Energy/op", "Power"}, kNone, "th");
+  for (const sheet::RowResult& row : result.rows) {
+    std::string params;
+    for (const auto& [name, value] : row.shown_params) {
+      if (!params.empty()) params += ", ";
+      params += name + "=" + library::number_text(value);
+    }
+    const bool linked = row.sub_result == nullptr;
+    const std::string model_cell =
+        linked ? link("/doc", {{"name", row.model_name}, {"user", user}},
+                      row.model_name)
+               : row.model_name;
+    rows += row_html({row.name, model_cell, params, energy(row.estimate),
+                      units::format_si(row.estimate.total_power().si(), "W")},
+                     linked ? 1 : kNone, "td");
+  }
+  rows += row_html({"TOTAL", "", "", energy(result.total),
+                    units::format_si(result.total.total_power().si(), "W")},
+                   kNone, "td");
+  out += "<table border=\"1\">\n" + rows + "</table>\n";
+  for (const sheet::RowResult& row : result.rows) {
+    if (row.sub_result != nullptr && depth < 8) {
+      out += "<h3>" + html_escape(row.name) + " (macro drill-down)</h3>\n";
+      oracle_spreadsheet(*row.sub_result, user, out, depth + 1);
+    }
+  }
+}
+
+/// The oracle page for a stored design, Played by the reference
+/// interpreter.
+std::string oracle_design_page(const sheet::Design& design,
+                               const std::string& user,
+                               const std::string& message = {}) {
+  const sheet::PlayResult result = design.play();
+  HtmlPage page(design.name() + " summary");
+  if (!message.empty()) page.paragraph("[" + message + "]");
+  if (!design.description().empty()) page.paragraph(design.description());
+  HtmlForm play("/design/play", "POST");
+  play.hidden("user", user);
+  play.hidden("name", design.name());
+  for (const std::string& nm : design.globals().local_names()) {
+    auto found = design.globals().lookup(nm);
+    if (const double* literal = std::get_if<double>(found->binding)) {
+      play.text_field(nm, "g_" + nm, library::number_text(*literal));
+    } else {
+      const auto& f = std::get<expr::ExprPtr>(*found->binding);
+      play.text_field(nm + " (formula)", "g_" + nm, expr::to_source(*f));
+    }
+  }
+  play.submit("PLAY");
+  page.raw(play.str());
+  std::string sheet_html;
+  oracle_spreadsheet(result, user, sheet_html);
+  page.raw(sheet_html);
+  page.paragraph("Computed in " + std::to_string(result.iterations) +
+                 " sweep(s).");
+  page.raw(link("/menu", {{"user", user}}, "Back to menu"));
+  return page.str();
+}
+
+/// The oracle page for a design that is not stored.
+std::string oracle_missing_page(const std::string& name,
+                                const std::string& user) {
+  HtmlPage page("Design: " + name);
+  page.paragraph("No rows yet — add instances from the model library.");
+  page.raw(link("/library", {{"user", user}}, "Model library"));
+  return page.str();
+}
+
+/// Users whose names need every encoding the page uses.
+const std::vector<std::string> kAdversarialUsers = {
+    "a b&c<d>\"e%f+g", "Zo\xc3\xab \xe6\x97\xa5\xe6\x9c\xac", "user",
+    "Adv&user=x", "a%20b"};
+
+/// Designs whose user-controlled text holds what a marker search would
+/// trip on: the users' own names, their URL-encoded forms, "&user=" and
+/// "%".
+std::vector<sheet::Design> adversarial_designs(
+    const model::ModelRegistry& lib) {
+  std::vector<sheet::Design> out;
+  std::string description = "&user= % %25 {user}";
+  for (const std::string& user : kAdversarialUsers) {
+    description += " " + user + " " + url_encode(user) + " " +
+                   html_escape(url_encode(user));
+  }
+  sheet::Design adv("Adv&user=x", description);
+  adv.globals().set("vdd", 1.2);
+  int i = 0;
+  for (const std::string& user : kAdversarialUsers) {
+    auto& row = adv.add_row(user, lib.find_shared("register"));
+    row.params.set("bits", 4.0 + i++);
+    adv.add_row(url_encode(user) + " &user=" + url_encode(user) + "%",
+                lib.find_shared("sram"));
+  }
+  out.push_back(std::move(adv));
+  out.push_back(studies::make_luminance_impl2(lib));
+  out.push_back(studies::make_infopad(lib));
+  return out;
+}
+
+/// GET `target` from `app` in-process.
+Response get_from(PowerPlayApp& app, const std::string& target,
+                  const std::string& if_none_match = {}) {
+  Request request;
+  request.target = target;
+  if (!if_none_match.empty()) request.headers["if-none-match"] = if_none_match;
+  return app.handle(request);
+}
+
+std::string design_target(const std::string& route, const std::string& user,
+                          const std::string& name) {
+  return route + "?" + to_query({{"user", user}, {"name", name}});
+}
+
+// Every user sees exactly the oracle's page, first view and revisit,
+// whether the page came from the shared cache entry or (cache off) a
+// fresh render — including users and designs built to break a splice
+// that searched the page text.
+TEST_F(AppFixture, SplicedDesignPagesMatchPerUserOracle) {
+  AppOptions uncached;
+  uncached.response_cache = false;
+  PowerPlayApp cold(library::LibraryStore(dir / "cold"),
+                    engine::EngineOptions{}, engine::JobOptions{}, uncached);
+  for (PowerPlayApp* site : {app.get(), &cold}) {
+    for (const sheet::Design& d : adversarial_designs(site->registry())) {
+      site->store().save_design(d);
+    }
+  }
+  for (PowerPlayApp* site : {app.get(), &cold}) {
+    for (const sheet::Design& d : adversarial_designs(site->registry())) {
+      const auto stored = site->store().load_design(d.name(), site->registry());
+      std::vector<std::string> users = kAdversarialUsers;
+      users.push_back(d.name());
+      for (const std::string& user : users) {
+        const std::string expected = oracle_design_page(*stored, user);
+        for (int visit = 0; visit < 2; ++visit) {
+          const Response r =
+              get_from(*site, design_target("/design", user, d.name()));
+          ASSERT_EQ(r.status, 200) << d.name();
+          EXPECT_EQ(r.body, expected)
+              << d.name() << " as " << user << " visit " << visit;
+        }
+      }
+    }
+    for (const std::string& user : kAdversarialUsers) {
+      const Response missing =
+          get_from(*site, design_target("/design", user, "Ghost<&>"));
+      ASSERT_EQ(missing.status, 200);
+      EXPECT_EQ(missing.body, oracle_missing_page("Ghost<&>", user)) << user;
+    }
+  }
+  // The pages re-rendered after a mutation use the same template.
+  const Response played = post(
+      "/design/play",
+      {{"user", kAdversarialUsers[0]}, {"name", "Adv&user=x"}, {"g_vdd", "1.4"}});
+  ASSERT_EQ(played.status, 200) << played.body;
+  EXPECT_EQ(played.body,
+            oracle_design_page(*app->store().load_design("Adv&user=x",
+                                                         app->registry()),
+                               kAdversarialUsers[0], "recomputed"));
+  // Missing user: 400 from the cached and the uncached path alike.
+  for (PowerPlayApp* site : {app.get(), &cold}) {
+    EXPECT_EQ(get_from(*site, "/design?name=Luminance_2").status, 400);
+  }
+  cold.shutdown();
+}
+
+// The shared goldens hold for revisits too, and with the response cache
+// off, where every view renders afresh.
+TEST_F(AppFixture, DesignPagesMatchGoldensOnRevisitAndCacheOff) {
+  const fs::path golden_dir = POWERPLAY_GOLDEN_DIR;
+  const auto slurp = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing golden " << path;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  AppOptions uncached;
+  uncached.response_cache = false;
+  PowerPlayApp cold(library::LibraryStore(dir / "cold"),
+                    engine::EngineOptions{}, engine::JobOptions{}, uncached);
+  for (PowerPlayApp* site : {app.get(), &cold}) {
+    for (const sheet::Design& d : golden_designs(site->registry())) {
+      site->store().save_design(d);
+    }
+    for (const sheet::Design& d : golden_designs(site->registry())) {
+      const std::string& name = d.name();
+      const std::string html = slurp(golden_dir / (name + ".html"));
+      const std::string csv = slurp(golden_dir / (name + ".csv"));
+      for (const std::string user : {"golden_user", "golden_again"}) {
+        for (int visit = 0; visit < 2; ++visit) {
+          const Response page =
+              get_from(*site, design_target("/design", user, name));
+          const Response sheet =
+              get_from(*site, design_target("/design/csv", user, name));
+          EXPECT_EQ(replace_all(page.body, user, "{user}"), html)
+              << name << " as " << user << " visit " << visit;
+          EXPECT_EQ(sheet.body, csv) << name << " as " << user;
+        }
+      }
+    }
+  }
+  cold.shutdown();
+}
+
+// Each spliced page has its own strong ETag: user A's tag revalidates
+// A's page and no one else's.  The CSV names no user, so its tag is
+// everyone's.
+TEST_F(AppFixture, SplicedPageEtagsArePerUser) {
+  app->store().save_design(studies::make_luminance_impl2(app->registry()));
+  const Response a = get_from(*app, design_target("/design", "alice", "Luminance_2"));
+  const Response b = get_from(*app, design_target("/design", "bob", "Luminance_2"));
+  const std::string tag_a = a.headers.at("etag");
+  const std::string tag_b = b.headers.at("etag");
+  EXPECT_NE(tag_a, tag_b);
+  const Response a_again =
+      get_from(*app, design_target("/design", "alice", "Luminance_2"));
+  EXPECT_EQ(a_again.headers.at("etag"), tag_a);
+  EXPECT_EQ(a_again.body, a.body);
+
+  const Response a_304 = get_from(
+      *app, design_target("/design", "alice", "Luminance_2"), tag_a);
+  EXPECT_EQ(a_304.status, 304);
+  EXPECT_TRUE(a_304.body.empty());
+  const Response b_200 = get_from(
+      *app, design_target("/design", "bob", "Luminance_2"), tag_a);
+  EXPECT_EQ(b_200.status, 200);
+  EXPECT_EQ(b_200.body, b.body);
+  EXPECT_EQ(b_200.headers.at("etag"), tag_b);
+
+  const Response csv_a =
+      get_from(*app, design_target("/design/csv", "alice", "Luminance_2"));
+  const Response csv_b = get_from(
+      *app, design_target("/design/csv", "bob", "Luminance_2"),
+      csv_a.headers.at("etag"));
+  EXPECT_EQ(csv_b.status, 304);
+}
+
+// A shared render never outlives the design state it shows: a visitor
+// who has never been to the page sees the new numbers after a Play and
+// after a model redefinition.
+TEST_F(AppFixture, NewVisitorsSeeFreshNumbersAfterPlayAndRedefinition) {
+  const auto view = [&](const std::string& user) {
+    return get("/design?" + to_query({{"user", user}, {"name", "d"}})).body;
+  };
+  const auto expected = [&](const std::string& user) {
+    // A registry built from scratch: no parse, plan or memo is shared.
+    auto lib = std::make_shared<model::ModelRegistry>(
+        models::berkeley_library());
+    app->store().load_all_models(*lib);
+    return oracle_design_page(*app->store().load_design("d", *lib), user);
+  };
+  const auto define = [&](const std::string& c_fullswing) {
+    return post("/newmodel", {{"user", "dl"},
+                              {"name", "mymod"},
+                              {"category", "computation"},
+                              {"params", "bits=8"},
+                              {"c_fullswing", c_fullswing}});
+  };
+  ASSERT_EQ(define("bits*1e-12").status, 200);
+  ASSERT_EQ(post("/design/add", {{"user", "dl"},
+                                 {"model", "mymod"},
+                                 {"design", "d"},
+                                 {"row", "m"},
+                                 {"p_f", "1000000"}})
+                .status,
+            200);
+  const std::string first = view("v1");
+  EXPECT_EQ(first, expected("v1"));
+
+  ASSERT_EQ(post("/design/play", {{"user", "dl"}, {"name", "d"}, {"g_vdd", "2.5"}})
+                .status,
+            200);
+  const std::string after_play = view("v2");
+  EXPECT_EQ(after_play, expected("v2"));
+  EXPECT_NE(replace_all(after_play, "v2", "{user}"),
+            replace_all(first, "v1", "{user}"));
+
+  ASSERT_EQ(define("bits*5e-12").status, 200);
+  const std::string after_define = view("v3");
+  EXPECT_EQ(after_define, expected("v3"));
+  EXPECT_NE(replace_all(after_define, "v3", "{user}"),
+            replace_all(after_play, "v2", "{user}"));
+}
+
+// Session locks live only while a request holds or awaits them: a stream
+// of distinct users leaves the table empty instead of one mutex each.
+TEST_F(AppFixture, SessionLocksDoNotAccumulate) {
+  app->store().save_design(studies::make_luminance_impl1(app->registry()));
+  for (int i = 0; i < 500; ++i) {
+    const std::string user = "visitor" + std::to_string(i);
+    ASSERT_EQ(get_from(*app, design_target("/design", user, "Luminance_1")).status,
+              200);
+    ASSERT_EQ(get_from(*app, "/menu?user=" + user).status, 200);
+    ASSERT_EQ(get_from(*app, "/menu").status, 400);
+  }
+  EXPECT_EQ(app->active_sessions(), 0u);
 }
 
 }  // namespace

@@ -493,6 +493,66 @@ TEST_F(ConcurrencyFixture, ResponseCacheInvalidationOnMutation) {
   }
 }
 
+// Many first-time visitors read one design at once: each must get the
+// shared render with exactly its own name spliced in, the CSV must be
+// one body for all, and no session lock may outlive its request.
+TEST_F(ConcurrencyFixture, DistinctUsersShareOneDesignRender) {
+  ASSERT_EQ(post("/design/add", {{"user", "owner"},
+                                 {"model", "register"},
+                                 {"design", "Shared"},
+                                 {"row", "R0"},
+                                 {"p_bits", "8"},
+                                 {"p_f", "1000000"}})
+                .status,
+            200);
+  const auto with_placeholder = [](std::string body, const std::string& user) {
+    for (std::size_t at = body.find(user); at != std::string::npos;
+         at = body.find(user, at + 6)) {
+      body.replace(at, user.size(), "{user}");
+    }
+    return body;
+  };
+  const Response reference = get("/design?user=refuser&name=Shared");
+  ASSERT_EQ(reference.status, 200);
+  const std::string page = with_placeholder(reference.body, "refuser");
+  const std::string csv = get("/design/csv?user=refuser&name=Shared").body;
+
+  constexpr int kThreads = 8;
+  constexpr int kUsers = 40;  // per thread
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      try {
+        HttpConnection conn(server->port());
+        for (int i = 0; i < kUsers; ++i) {
+          const std::string user =
+              "visitor_" + std::to_string(t) + "_" + std::to_string(i) + "x";
+          const Response r = conn.get("/design?user=" + user + "&name=Shared");
+          if (r.status != 200 || with_placeholder(r.body, user) != page) {
+            ++failures;
+          }
+          const Response c =
+              conn.get("/design/csv?user=" + user + "&name=Shared");
+          if (c.status != 200 || c.body != csv) ++failures;
+        }
+      } catch (const HttpError&) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(app->active_sessions(), 0u);
+  // Every view after the reference pair was a shared-render hit.
+  const Response health = get("/healthz");
+  EXPECT_NE(health.body.find("response_cache_hits: " +
+                             std::to_string(kThreads * kUsers * 2)),
+            std::string::npos)
+      << health.body;
+}
+
 // /healthz reports the engine, cache, job-lifecycle and store-
 // durability counters.
 TEST_F(ConcurrencyFixture, HealthzReportsEngineStats) {

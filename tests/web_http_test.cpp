@@ -159,15 +159,18 @@ TEST(Html, PageStructure) {
   EXPECT_NE(s.find("<b>raw</b>"), std::string::npos);
 }
 
-TEST(Html, TableEscapesCellsButKeepsRawCells) {
+TEST(Html, TableEscapesEveryCell) {
   HtmlTable t;
   t.header({"Col<1>"});
   t.row({"a&b"});
-  t.row({HtmlTable::raw_cell("<a href=\"x\">link</a>")});
+  // No prefix marks a cell as markup (one used to, and a row or model
+  // name starting with it was served unescaped).
+  t.row({"\x01raw\x01<a href=\"x\">link</a>"});
   const std::string s = t.str();
   EXPECT_NE(s.find("<th>Col&lt;1&gt;</th>"), std::string::npos);
   EXPECT_NE(s.find("<td>a&amp;b</td>"), std::string::npos);
-  EXPECT_NE(s.find("<td><a href=\"x\">link</a></td>"), std::string::npos);
+  EXPECT_NE(s.find("<td>\x01raw\x01&lt;a href=&quot;x&quot;&gt;link&lt;/a&gt;</td>"),
+            std::string::npos);
 }
 
 TEST(Html, FormFields) {
